@@ -211,7 +211,7 @@ func TestQueryServer(t *testing.T) {
 
 	post := func(body string) (*http.Response, []byte) {
 		t.Helper()
-		resp, err := http.Post(base+"/query", "application/json", strings.NewReader(body))
+		resp, err := http.Post(base+"/v1/query", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatalf("POST /query: %v", err)
 		}
@@ -221,7 +221,7 @@ func TestQueryServer(t *testing.T) {
 	}
 	metrics := func() map[string]float64 {
 		t.Helper()
-		resp, err := http.Get(base + "/metrics")
+		resp, err := http.Get(base + "/v1/metrics")
 		if err != nil {
 			t.Fatalf("GET /metrics: %v", err)
 		}
@@ -338,7 +338,7 @@ func TestQueryServer(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Post(base+"/query", "application/json",
+			resp, err := http.Post(base+"/v1/query", "application/json",
 				strings.NewReader(`{"path": "/site//description"}`))
 			if err != nil {
 				t.Errorf("burst POST: %v", err)

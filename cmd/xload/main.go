@@ -29,7 +29,7 @@
 // -write-frac turns that fraction of requests into write transactions:
 // each inserts an empty <xloadpad/> element under /site (invisible to the
 // query mixes, so read counts stay stable) and reports commit latency.
-// Writes go through DB.Update in engine mode and POST /update in url mode;
+// Writes go through DB.Update in engine mode and POST /v1/update in url mode;
 // concurrent writers exercise the group-commit WAL, whose batching shows
 // up as flushes_per_commit < 1 in the report.
 //
@@ -1436,7 +1436,7 @@ func (b *httpBackend) scrape() (map[string]float64, error) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /metrics: status %d", resp.StatusCode)
+		return nil, fmt.Errorf("GET /v1/metrics: status %d", resp.StatusCode)
 	}
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"pathdb/internal/core"
 	"pathdb/internal/engine"
 	"pathdb/internal/stats"
+	"pathdb/internal/storage"
 	"pathdb/internal/xpath"
 )
 
@@ -62,9 +63,9 @@ type Engine struct {
 
 // NewEngine starts a concurrent engine over the document. The cost model's
 // offline statistics pass runs here; call ResetStats afterwards when
-// measuring cold runs. Close the engine before using blocking single-query
-// DB methods again.
+// measuring cold runs.
 func (db *DB) NewEngine(cfg EngineConfig) *Engine {
+	db.getChooser() // the statistics pass, before callers reset the ledger
 	e := &Engine{
 		db: db,
 		e: engine.New(db.store, engine.Config{
@@ -76,7 +77,7 @@ func (db *DB) NewEngine(cfg EngineConfig) *Engine {
 			Snapshots: dbSnapshots{db: db},
 			// Share the facade's chooser (concurrency-safe) so the volume
 			// collects document statistics exactly once.
-			Chooser: db.getChooser(),
+			Chooser: db.getChooser,
 		}),
 	}
 	e.volumeAPI = volumeAPI{vol: db, admit: e.e.AdmitWrite}
@@ -241,7 +242,8 @@ func fromCore(s core.Strategy) Strategy {
 //
 // Do is sugar over Stream: it opens a cursor in buffered delivery mode and
 // drains it, so the virtual-cost accounting of the two surfaces is
-// identical by construction.
+// identical by construction. DB.QueryCtx is the same call on the DB's own
+// one-worker executor.
 func (s *Session) Do(ctx context.Context, path string, opts QueryOptions) (ExecResult, error) {
 	return s.drain(ctx, path, opts, false)
 }
@@ -265,43 +267,41 @@ func (s *Session) drain(ctx context.Context, path string, opts QueryOptions, try
 	return c.Drain()
 }
 
-// compile parses the path and maps it onto engine queries, one per union
-// branch. live requests incremental delivery through the engine sink; the
-// returned flag is the effective mode — a sorted union demotes to buffered
-// delivery, because its global document order only exists after every
-// branch has landed and merged (per-branch sinks would interleave).
-func (s *Session) compile(path string, opts QueryOptions, live bool) ([]engine.Query, bool, error) {
-	branches, err := xpathParseUnion(s.eng.db, path)
-	if err != nil {
-		return nil, false, err
-	}
-	if opts.Sorted && len(branches) > 1 {
+// engineQueries maps a query's union branches onto engine queries. live
+// requests incremental delivery through the engine sink; the returned flag
+// is the effective mode — a sorted union demotes to buffered delivery,
+// because its global document order only exists after every branch has
+// landed and merged (per-branch sinks would interleave).
+func engineQueries(label string, branches [][]xpath.Step, contexts []storage.NodeID, opts QueryOptions, live bool) ([]engine.Query, bool) {
+	union := len(branches) > 1
+	if opts.Sorted && union {
 		live = false
 	}
 	queries := make([]engine.Query, len(branches))
 	for i, b := range branches {
 		limit := opts.Limit
-		if opts.Sorted && len(branches) > 1 {
+		if opts.Sorted && union {
 			// A sorted union is merged and truncated after all branches
 			// land (the global first-N needs every branch's matches); a
 			// per-branch cap would cut the wrong nodes.
 			limit = 0
 		}
 		queries[i] = engine.Query{
-			Label:    path,
+			Label:    label,
 			Path:     b,
+			Contexts: contexts,
 			Auto:     opts.Strategy == Auto,
 			Strategy: opts.Strategy.internal(),
 			// Union branches are merged and re-sorted by the cursor; plain
 			// paths sort inside the engine.
-			Sorted:   opts.Sorted && len(branches) == 1,
+			Sorted:   opts.Sorted && !union,
 			MemLimit: opts.MemLimit,
 			Limit:    limit,
 			Stream:   live,
 			PredEval: opts.PredEval.internal(),
 		}
 	}
-	return queries, live, nil
+	return queries, live
 }
 
 // xpathParseUnion parses an absolute location path (or union) into
@@ -314,7 +314,7 @@ func xpathParseUnion(db *DB, path string) ([][]xpath.Step, error) {
 	out := make([][]xpath.Step, len(branches))
 	for i, b := range branches {
 		if !b.Absolute {
-			return nil, fmt.Errorf("pathdb: engine query %q must be absolute", path)
+			return nil, fmt.Errorf("pathdb: query %q must be absolute (use Node.Query for relative paths)", path)
 		}
 		out[i] = b.Simplify().Steps
 	}

@@ -74,20 +74,29 @@ func TestWrapErrClassification(t *testing.T) {
 	}
 }
 
+// TestQueryCtxMatchesQuery: QueryCtx and Query.Nodes both return the
+// reference evaluator's sorted node sequence.
 func TestQueryCtxMatchesQuery(t *testing.T) {
 	db := mustLoad(t, `<a><b><c/></b><b/><d><b/></d></a>`)
 	for _, path := range []string{"/a/b", "/a//b", "/a/b | /a/d/b"} {
+		want := refRun(t, db, path, QueryOptions{Sorted: true}).ids
 		q, err := db.Query(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := q.Count()
+		var got []uint64
+		for _, n := range q.Sorted().Nodes() {
+			got = append(got, n.ID())
+		}
+		if !sameSeq(got, want) {
+			t.Errorf("Query(%q).Nodes() = %v, reference %v", path, got, want)
+		}
 		res, err := db.QueryCtx(context.Background(), path, QueryOptions{Sorted: true})
 		if err != nil {
 			t.Fatalf("QueryCtx(%q): %v", path, err)
 		}
-		if res.Count() != want {
-			t.Errorf("QueryCtx(%q) = %d nodes, want %d", path, res.Count(), want)
+		if !sameSeq(resultIDs(res), want) {
+			t.Errorf("QueryCtx(%q) = %v, reference %v", path, resultIDs(res), want)
 		}
 	}
 	if _, err := db.QueryCtx(context.Background(), "b/c", QueryOptions{}); err == nil {

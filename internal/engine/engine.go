@@ -27,6 +27,12 @@
 // scheduling, and with a warm buffer each query's cost is bit-identical to
 // a serial run.
 //
+// Dispatcher-free execution. Run executes one gang on the caller's behalf
+// without admission or the dispatcher — the same execute → runSolo/
+// runShared → deliver path, on as many workers as Config.Parallel allows.
+// The pathdb facade runs every DB-level query this way on a one-worker
+// engine, so a blocking query and a session query share one executor.
+//
 // Cancellation. Every query carries a context.Context. A query cancelled
 // while queued never executes; one cancelled mid-execution stops at the
 // next operator poll point, and its in-flight cluster prefetches are
@@ -103,11 +109,14 @@ type Config struct {
 	// commits. Nil falls back to a view pinned at gang start (equivalent
 	// on volumes without a txn manager, where the version never moves).
 	Snapshots SnapshotSource
-	// Chooser, when set, is an existing cost chooser to share (it is
+	// Chooser, when set, supplies an existing cost chooser to share (it is
 	// concurrency-safe) instead of collecting a second set of document
-	// statistics at construction. The facade passes its own so a DB pays
-	// for exactly one statistics walk.
-	Chooser *plan.Chooser
+	// statistics at construction. It is called only when a query leaves
+	// its strategy or predicate evaluator to the cost model, and must
+	// return a chooser whose statistics describe the store's current
+	// version. The facade passes its own so a DB pays for exactly one
+	// statistics walk.
+	Chooser func() *plan.Chooser
 }
 
 func (c Config) withDefaults() Config {
@@ -209,11 +218,11 @@ type Metrics struct {
 }
 
 // Engine owns the dispatcher for one volume. Create with New, then open
-// sessions with NewSession; Close shuts the dispatcher down.
+// sessions with NewSession; Close shuts the dispatcher down. An engine
+// from NewExecutor has no dispatcher and serves Run only.
 type Engine struct {
-	store   *storage.Store
-	chooser *plan.Chooser
-	cfg     Config
+	store *storage.Store
+	cfg   Config
 
 	queue chan *Pending
 	stop  chan struct{}
@@ -252,23 +261,37 @@ type Engine struct {
 // collects document statistics in an offline pass; callers measuring cold
 // runs should store.ResetForRun() afterwards.
 func New(store *storage.Store, cfg Config) *Engine {
-	cfg = cfg.withDefaults()
-	chooser := cfg.Chooser
-	if chooser == nil {
-		chooser = plan.NewChooser(store)
-	}
-	e := &Engine{
-		store:   store,
-		chooser: chooser,
-		cfg:     cfg,
-		queue:   make(chan *Pending, cfg.QueueDepth),
-		stop:    make(chan struct{}),
-		drain:   make(chan struct{}),
-		dom:     store.Disk().NewDomain(stats.NewLedger()),
-	}
+	e := NewExecutor(store, cfg)
 	e.wg.Add(1)
 	go e.run()
 	return e
+}
+
+// NewExecutor builds an engine without starting its dispatcher: it owns no
+// goroutine and runs gangs only through Run (its sessions' submissions
+// queue but are never served).
+func NewExecutor(store *storage.Store, cfg Config) *Engine {
+	cfg = cfg.withDefaults()
+	if cfg.Chooser == nil {
+		c := plan.NewChooser(store)
+		cfg.Chooser = func() *plan.Chooser {
+			// Commits since the last query are folded into the statistics
+			// from the rewritten clusters' synopses. Offline bookkeeping:
+			// a throwaway ledger, not the volume clock.
+			if c.Epoch() != store.VersionEpoch() {
+				c.Refresh(store.SnapshotView(stats.NewLedger()))
+			}
+			return c
+		}
+	}
+	return &Engine{
+		store: store,
+		cfg:   cfg,
+		queue: make(chan *Pending, cfg.QueueDepth),
+		stop:  make(chan struct{}),
+		drain: make(chan struct{}),
+		dom:   store.Disk().NewDomain(stats.NewLedger()),
+	}
 }
 
 // Store returns the engine's volume.
@@ -372,6 +395,32 @@ func (e *Engine) failQueued() {
 // goroutine should own one.
 func (e *Engine) NewSession() *Session { return &Session{e: e} }
 
+// Run executes qs as one gang under ctx, bypassing admission and the
+// dispatcher. A buffered gang runs on the calling goroutine and has
+// settled when Run returns. A gang with a streaming member runs on one new
+// goroutine, so the caller can consume the sinks while it produces; the
+// returned channel closes once that goroutine has released the gang's
+// snapshot and exited (for a buffered gang it is already closed).
+func (e *Engine) Run(ctx context.Context, qs []Query) ([]*Pending, <-chan struct{}) {
+	gang := make([]*Pending, len(qs))
+	live := false
+	for i, q := range qs {
+		gang[i] = e.newPending(ctx, q)
+		live = live || q.Stream
+	}
+	exited := make(chan struct{})
+	if !live {
+		e.execute(gang)
+		close(exited)
+		return gang, exited
+	}
+	go func() {
+		defer close(exited)
+		e.execute(gang)
+	}()
+	return gang, exited
+}
+
 // run is the dispatcher: it drains the admission queue in gangs, classifies
 // each gang on this goroutine (the cost-model chooser is serial), and fans
 // the resulting tasks out to the gang's worker pool.
@@ -469,14 +518,6 @@ func (e *Engine) execute(gang []*Pending) {
 	// one set-op per admitted member, keeping the volume clock pure.
 	e.dom.Ledger().AdvanceCPU(stats.Ticks(len(gang)) * model.CPUSetOp)
 
-	// Commits since the last gang are folded into the chooser's statistics
-	// from the rewritten clusters' synopses (the dispatcher is the only
-	// Choose caller, so the refresh needs no lock). Offline bookkeeping: a
-	// throwaway ledger, not the volume clock.
-	if e.chooser.Epoch() != e.store.VersionEpoch() {
-		e.chooser.Refresh(e.store.SnapshotView(stats.NewLedger()))
-	}
-
 	var shared, solo []execUnit
 	for _, p := range gang {
 		if err := p.ctx.Err(); err != nil {
@@ -484,18 +525,8 @@ func (e *Engine) execute(gang []*Pending) {
 			p.finish(Result{}, err)
 			continue
 		}
-		u := execUnit{p: p, strat: p.q.Strategy, pred: p.q.PredEval}
-		if p.q.Auto {
-			c := e.chooser.Choose(p.q.Path)
-			u.strat, u.choice = c.Strategy, &c
-			if u.pred == core.PredAuto {
-				u.pred = c.PredEval
-			}
-		} else if u.pred == core.PredAuto && xpath.HasPredicates(p.q.Path) {
-			// A forced strategy still leaves the predicate evaluator to the
-			// cost model.
-			u.pred = e.chooser.Choose(p.q.Path).PredEval
-		}
+		u := execUnit{p: p}
+		u.strat, u.pred, u.choice = plan.Resolve(e.cfg.Chooser, p.q.Path, p.q.Auto, p.q.Strategy, p.q.PredEval)
 		if !p.q.Stream && batchable(u.strat, p.q.Path) {
 			shared = append(shared, u)
 		} else {
@@ -723,6 +754,10 @@ func (e *Engine) runSolo(snap Snapshot, u execUnit, gangSize int) {
 	startW := time.Now()
 
 	var results []core.Result
+	// full is set when the query stopped at its Limit: it is complete, so
+	// a cancellation arriving afterwards (a consumer that stops reading at
+	// the Limit) must not discard it.
+	full := false
 	arena := core.GetArena()
 	defer core.PutArena(arena)
 	ferr := func() (ferr *storage.PageError) {
@@ -768,13 +803,13 @@ func (e *Engine) runSolo(snap Snapshot, u execUnit, gangSize int) {
 				if !e.emit(u.p, r) {
 					break
 				}
-				if limit > 0 && u.p.sent >= limit {
+				if full = limit > 0 && u.p.sent >= limit; full {
 					break
 				}
 				continue
 			}
 			results = append(results, r)
-			if limit > 0 && !u.p.q.Sorted && len(results) >= limit {
+			if full = limit > 0 && !u.p.q.Sorted && len(results) >= limit; full {
 				break
 			}
 		}
@@ -793,7 +828,11 @@ func (e *Engine) runSolo(snap Snapshot, u execUnit, gangSize int) {
 		return
 	}
 
-	if err := u.p.ctx.Err(); err != nil {
+	if full {
+		// Stopped early: withdraw the plan's prefetches still in flight,
+		// or they would stay wanted on the device past this query.
+		view.CancelRequests()
+	} else if err := u.p.ctx.Err(); err != nil {
 		e.cancelled.Add(1)
 		view.CancelRequests()
 		e.store.Ledger().Merge(qled.Sub(clockBase(baseV)))

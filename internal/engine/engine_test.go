@@ -8,7 +8,6 @@ import (
 	"pathdb/internal/bench"
 	"pathdb/internal/core"
 	"pathdb/internal/ordpath"
-	"pathdb/internal/plan"
 	"pathdb/internal/stats"
 	"pathdb/internal/storage"
 	"pathdb/internal/xmltree"
@@ -49,18 +48,7 @@ func parsePath(t *testing.T, dict *xmltree.Dictionary, src string) []xpath.Step 
 
 // newStoppedEngine builds an engine without starting its dispatcher, so
 // tests can fill the admission queue and run gangs deterministically.
-func newStoppedEngine(st *storage.Store, cfg Config) *Engine {
-	cfg = cfg.withDefaults()
-	return &Engine{
-		store:   st,
-		chooser: plan.NewChooser(st),
-		cfg:     cfg,
-		queue:   make(chan *Pending, cfg.QueueDepth),
-		stop:    make(chan struct{}),
-		drain:   make(chan struct{}),
-		dom:     st.Disk().NewDomain(stats.NewLedger()),
-	}
-}
+func newStoppedEngine(st *storage.Store, cfg Config) *Engine { return NewExecutor(st, cfg) }
 
 func startDispatcher(e *Engine) {
 	e.wg.Add(1)
@@ -444,4 +432,45 @@ func TestDrain(t *testing.T) {
 	if err := e.Drain(context.Background()); err != nil {
 		t.Fatalf("second Drain: %v", err)
 	}
+}
+
+// TestRunLimitWithdrawsPrefetches: a Schedule query stopped at its Limit
+// on a cold pool still has cluster prefetches in flight; Run must withdraw
+// them, buffered or streamed, so none stays queued on the device. It also
+// checks that the stopped query is reported as complete, not cancelled,
+// although a streaming consumer cancels once it has its N results.
+func TestRunLimitWithdrawsPrefetches(t *testing.T) {
+	st, dict := testStore(t)
+	e := NewExecutor(st, Config{Parallel: 1})
+	for _, stream := range []bool{false, true} {
+		st.ResetForRun()
+		ctx, cancel := context.WithCancel(context.Background())
+		q := Query{Label: srcQ7b, Path: parsePath(t, dict, srcQ7b), Strategy: core.StrategySchedule,
+			Limit: 3, Stream: stream}
+		ps, exited := e.Run(ctx, []Query{q})
+		n := 0
+		if stream {
+			for range ps[0].C() {
+				if n++; n == q.Limit {
+					cancel()
+				}
+			}
+		}
+		res, err := ps[0].Wait(context.Background())
+		<-exited
+		cancel()
+		if err != nil {
+			t.Fatalf("stream=%v: Limit-stopped query failed: %v", stream, err)
+		}
+		if !stream {
+			n = res.Count()
+		}
+		if n != q.Limit {
+			t.Fatalf("stream=%v: %d results, want %d", stream, n, q.Limit)
+		}
+		if p := st.Disk().PendingAsync(); p != 0 {
+			t.Fatalf("stream=%v: %d prefetches left queued on the device", stream, p)
+		}
+	}
+	st.ResetForRun()
 }

@@ -69,7 +69,7 @@ func (p *Pending) Wait(ctx context.Context) (Result, error) {
 	}
 }
 
-func (s *Session) newPending(ctx context.Context, q Query) *Pending {
+func (e *Engine) newPending(ctx context.Context, q Query) *Pending {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -77,7 +77,7 @@ func (s *Session) newPending(ctx context.Context, q Query) *Pending {
 		ctx:     ctx,
 		q:       q,
 		submitW: time.Now(),
-		submitV: s.e.store.Ledger().Total(),
+		submitV: e.store.Ledger().Total(),
 		done:    make(chan struct{}),
 	}
 	if q.Stream {
@@ -90,7 +90,7 @@ func (s *Session) newPending(ctx context.Context, q Query) *Pending {
 // admission queue is at capacity — the load-shedding half of admission
 // control — and ErrClosed after Close.
 func (s *Session) TrySubmit(ctx context.Context, q Query) (*Pending, error) {
-	p := s.newPending(ctx, q)
+	p := s.e.newPending(ctx, q)
 	if err := p.ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -113,7 +113,7 @@ func (s *Session) TrySubmit(ctx context.Context, q Query) (*Pending, error) {
 // backpressure half of admission control. It fails with the context's
 // error if ctx is done first, and with ErrClosed if the engine shuts down.
 func (s *Session) Submit(ctx context.Context, q Query) (*Pending, error) {
-	p := s.newPending(ctx, q)
+	p := s.e.newPending(ctx, q)
 	if err := p.ctx.Err(); err != nil {
 		return nil, err
 	}

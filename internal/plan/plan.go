@@ -432,15 +432,32 @@ func minf(a, b float64) float64 {
 	return b
 }
 
-// Build compiles the path with the chosen strategy — the convenience entry
-// point used by the pathdb facade.
-func (c *Chooser) Build(path []xpath.Step, contexts []storage.NodeID, opts core.PlanOptions) (*core.Plan, Choice) {
-	choice := c.Choose(path)
-	if opts.PredEval == core.PredAuto {
-		opts.PredEval = choice.PredEval
+// Resolve settles a query's physical strategy and predicate evaluator. It
+// is the one place a decision left open — an auto strategy, or PredAuto on
+// a path that carries predicates — is handed to the cost model, and chooser
+// is called only then, so a forced predicate-free query never pays for the
+// statistics walk that constructing a chooser implies. The Choice is the
+// model's full decision when the strategy was auto, nil otherwise.
+func Resolve(chooser func() *Chooser, path []xpath.Step, auto bool, strat core.Strategy, pred core.PredEval) (core.Strategy, core.PredEval, *Choice) {
+	if !auto && (pred != core.PredAuto || !xpath.HasPredicates(path)) {
+		return strat, pred, nil
 	}
+	c := chooser().Choose(path)
+	if pred == core.PredAuto {
+		pred = c.PredEval
+	}
+	if !auto {
+		return strat, pred, nil
+	}
+	return c.Strategy, pred, &c
+}
+
+// Build compiles the path with the chosen strategy and predicate evaluator.
+func (c *Chooser) Build(path []xpath.Step, contexts []storage.NodeID, opts core.PlanOptions) (*core.Plan, Choice) {
+	strat, pred, choice := Resolve(func() *Chooser { return c }, path, true, 0, opts.PredEval)
+	opts.PredEval = pred
 	c.mu.Lock()
 	st := c.store
 	c.mu.Unlock()
-	return core.BuildPlan(st, path, contexts, choice.Strategy, opts), choice
+	return core.BuildPlan(st, path, contexts, strat, opts), *choice
 }

@@ -215,45 +215,33 @@ func TestStreamClientDisconnect(t *testing.T) {
 	drainShutdown(t, ts, srv.Shutdown, baseline)
 }
 
-// Legacy unversioned endpoints answer a Deprecation header pointing at
-// their /v1 successor; the /v1 mounts answer none.
-func TestDeprecationHeaders(t *testing.T) {
+// The unversioned endpoints of earlier revisions are retired: they answer
+// 404, on a single server and on the router, while /v1 serves.
+func TestLegacyPathsRetired(t *testing.T) {
 	db := newTestDB(t, 0.1)
 	_, ts := newTestServer(t, db, pathdb.EngineConfig{}, Options{})
-
+	_, rts := newTestRouter(t, shard.Config{}, 256, shard.QuotaConfig{})
 	body, _ := json.Marshal(QueryRequest{Path: itemQuery})
-	legacy, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, legacy.Body)
-	legacy.Body.Close()
-	if legacy.Header.Get("Deprecation") != "true" {
-		t.Fatal("legacy /query missing Deprecation header")
-	}
-	if link := legacy.Header.Get("Link"); link != `</v1/query>; rel="successor-version"` {
-		t.Fatalf("legacy /query Link = %q", link)
-	}
-
-	v1, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, v1.Body)
-	v1.Body.Close()
-	if v1.Header.Get("Deprecation") != "" {
-		t.Fatal("/v1/query must not be deprecated")
-	}
-
-	for _, name := range []string{"metrics", "healthz"} {
-		resp, err := http.Get(ts.URL + "/" + name)
+	for _, base := range []string{ts.URL, rts.URL} {
+		for _, name := range []string{"query", "update", "metrics", "healthz"} {
+			resp, err := http.Post(base+"/"+name, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("legacy /%s answered %d, want 404", name, resp.StatusCode)
+			}
+		}
+		v1, err := http.Post(base+"/v1/query", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Fatalf("legacy /%s missing Deprecation header", name)
+		io.Copy(io.Discard, v1.Body)
+		v1.Body.Close()
+		if v1.StatusCode != http.StatusOK {
+			t.Errorf("/v1/query answered %d", v1.StatusCode)
 		}
 	}
 }

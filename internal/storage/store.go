@@ -52,9 +52,6 @@ type Store struct {
 	pinned  *VersionMap
 	overlay map[vdisk.PageID]*pageImage
 	req     map[vdisk.PageID]vdisk.PageID // physical→logical for in-flight async requests
-
-	ckptPages []vdisk.PageID // chain of the current checkpoint (base store)
-	txnState  *TxnState      // recovered at Open; adopted by the txn manager
 }
 
 // DefaultBufferPages is the pool size used when none is configured; the
@@ -192,7 +189,7 @@ func (s *Store) CurrentVersion() *VersionMap { return s.vh.Load() }
 // TxnState returns the durable transaction state recovered at Open (nil
 // for volumes that were never written transactionally). The txn manager
 // adopts it; the slices are owned by the caller afterwards.
-func (s *Store) TxnState() *TxnState { return s.txnState }
+func (s *Store) TxnState() *TxnState { return s.vh.state }
 
 // WriteData finalizes payload (padding + checksum trailer) and writes it
 // at physical page p — the copy-on-write staging write of the txn commit
@@ -662,12 +659,12 @@ func Open(disk *vdisk.Disk) (*Store, error) {
 	if st != nil {
 		// Fold the replayed groups into a fresh checkpoint so the next
 		// crash recovers from here, and publish the recovered version.
-		_, next, cerr := s.WriteCheckpoint(*st, s.disk.Alloc)
+		chain, next, cerr := s.WriteCheckpoint(*st, s.disk.Alloc)
 		if cerr != nil {
 			return nil, cerr
 		}
-		st.LogHead = next
-		s.txnState = st
+		st.LogHead, st.Ckpt = next, chain
+		s.vh.state = st
 		s.PublishVersion(st.Version())
 	}
 	disk.Ledger().Reset()

@@ -159,6 +159,7 @@ type TxnState struct {
 	Extras  []vdisk.PageID                // extension directory (logical ids)
 	Free    []vdisk.PageID                // reclaimable physical pages
 	LogHead vdisk.PageID                  // preallocated head of the next group chain
+	Ckpt    []vdisk.PageID                // pages of the current checkpoint chain (not persisted)
 }
 
 // Version builds the VersionMap this state describes.
@@ -351,22 +352,22 @@ func (s *Store) AppendGroup(head vdisk.PageID, g GroupRecord, alloc PageAlloc) (
 }
 
 // WriteCheckpoint folds st into a fresh checkpoint chain, points the meta
-// page at it, and returns the previous checkpoint's pages (now garbage,
-// reclaimable by the caller) plus the new log head. Crash-safe: the old
-// chain stays intact until the meta write lands, and any post-crash reuse
-// of the returned pages is itself dropped by the same crash.
-func (s *Store) WriteCheckpoint(st TxnState, alloc PageAlloc) (freed []vdisk.PageID, next vdisk.PageID, err error) {
+// page at it, and returns the new chain's pages plus the new log head. The
+// caller owns the chain: the previous one is garbage once this returns,
+// reclaimable by the caller. Crash-safe: the old chain stays intact until
+// the meta write lands, and any post-crash reuse of its pages is itself
+// dropped by the same crash. WriteCheckpoint writes nothing into the
+// store struct, which read views copy.
+func (s *Store) WriteCheckpoint(st TxnState, alloc PageAlloc) (chain []vdisk.PageID, next vdisk.PageID, err error) {
 	m, err := readMeta(s.disk)
 	if err != nil {
 		return nil, 0, err
 	}
 	first := alloc()
-	used, next := writeChain(s.disk, first, ckptMagic, st.Epoch, encodeTxnState(&st), alloc)
+	chain, next = writeChain(s.disk, first, ckptMagic, st.Epoch, encodeTxnState(&st), alloc)
 	m.ckptPage = first
 	writeMeta(s.disk, 0, m)
-	freed = s.ckptPages
-	s.ckptPages = used
-	return freed, next, nil
+	return chain, next, nil
 }
 
 // InitTxn adopts a volume that has no transaction state yet: it persists
@@ -375,19 +376,19 @@ func (s *Store) WriteCheckpoint(st TxnState, alloc PageAlloc) (freed []vdisk.Pag
 // transactional mode (the legacy single-writer update path refuses to run
 // from then on). Idempotent: an already-adopted volume returns its state.
 func (s *Store) InitTxn() (*TxnState, error) {
-	if s.txnState != nil {
-		return s.txnState, nil
+	if s.vh.state != nil {
+		return s.vh.state, nil
 	}
 	st := &TxnState{
 		Map:    map[vdisk.PageID]vdisk.PageID{},
 		Extras: append([]vdisk.PageID(nil), s.extras...),
 	}
-	_, next, err := s.WriteCheckpoint(*st, s.disk.Alloc)
+	chain, next, err := s.WriteCheckpoint(*st, s.disk.Alloc)
 	if err != nil {
 		return nil, err
 	}
-	st.LogHead = next
-	s.txnState = st
+	st.LogHead, st.Ckpt = next, chain
+	s.vh.state = st
 	s.PublishVersion(st.Version())
 	return st, nil
 }

@@ -139,7 +139,8 @@ type Manager struct {
 	pending []*commitReq
 	flushMu sync.Mutex
 	logHead vdisk.PageID
-	groups  int // since last checkpoint
+	groups  int            // since last checkpoint
+	ckpt    []vdisk.PageID // current checkpoint chain (flush leader only)
 
 	closed  atomic.Bool
 	durable atomic.Uint64 // highest epoch whose group flush was issued
@@ -165,6 +166,7 @@ func NewManager(st *storage.Store, opts Options) (*Manager, error) {
 		epoch:   state.Epoch,
 		free:    append([]vdisk.PageID(nil), state.Free...),
 		logHead: state.LogHead,
+		ckpt:    state.Ckpt,
 		pins:    map[uint64]int{},
 	}
 	m.durable.Store(state.Epoch)
@@ -552,10 +554,12 @@ func (m *Manager) checkpoint() {
 	oldHead := m.logHead
 	m.staging.Unlock()
 
-	freedCkpt, next, err := m.st.WriteCheckpoint(st, m.logAlloc)
+	chain, next, err := m.st.WriteCheckpoint(st, m.logAlloc)
 	if err != nil {
 		return // meta unreadable mid-crash; recovery will redo the log
 	}
+	freedCkpt := m.ckpt
+	m.ckpt = chain
 
 	m.staging.Lock()
 	m.logHead = next

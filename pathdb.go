@@ -23,15 +23,15 @@
 package pathdb
 
 import (
+	"context"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"pathdb/internal/core"
-	"pathdb/internal/ordpath"
+	"pathdb/internal/engine"
 	"pathdb/internal/plan"
 	"pathdb/internal/stats"
 	"pathdb/internal/storage"
@@ -223,6 +223,11 @@ type DB struct {
 	mu      sync.Mutex // guards chooser and manager creation
 	chooser *plan.Chooser
 
+	// exec runs every DB-level query (QueryCtx, QueryStream and Query's
+	// Count/Nodes/Each): the engine's gang executor with one worker and no
+	// dispatcher, so it owns no goroutine and holds nothing but the DB.
+	exec *engine.Engine
+
 	// The MVCC transaction manager, created lazily by the first write
 	// (see txn.go). Reads load it lock-free.
 	mgr     atomic.Pointer[txn.Manager]
@@ -233,21 +238,28 @@ type DB struct {
 func newDB(dict *xmltree.Dictionary, st *storage.Store) *DB {
 	db := &DB{dict: dict, store: st}
 	db.volumeAPI = volumeAPI{vol: db}
+	db.exec = engine.NewExecutor(st, engine.Config{
+		Parallel: 1,
+		// Every DB-level query pins one MVCC snapshot (see txn.go).
+		Snapshots: dbSnapshots{db: db},
+		Chooser:   db.getChooser,
+	})
 	return db
 }
 
 // getChooser returns the document's cost-model chooser, building it on
 // first use and incrementally refreshing its statistics from the per-cluster
-// synopses when commits have advanced the volume since. Both paths run over
-// a snapshot view with a throwaway ledger: statistics collection is offline
-// bookkeeping, not query work, and must not inflate the volume's cost report
-// or any query's measured latency.
+// synopses when commits have advanced the volume since. Every query
+// surface consults it through plan.Resolve, only when a decision is open.
+// Both paths run over a snapshot view with a throwaway ledger: statistics
+// collection is offline bookkeeping, not query work, and must not inflate
+// the volume's cost report or any query's measured latency.
 func (db *DB) getChooser() *plan.Chooser {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.chooser == nil {
 		db.chooser = plan.NewChooser(db.store.SnapshotView(new(stats.Ledger)))
-	} else {
+	} else if db.chooser.Epoch() != db.store.VersionEpoch() {
 		db.chooser.Refresh(db.store.SnapshotView(new(stats.Ledger)))
 	}
 	return db.chooser
@@ -456,40 +468,36 @@ func (db *DB) Delete(n Node) error {
 // under the Schedule strategy (the multi-query extension of the paper's
 // Sec. 7).
 func (db *DB) Query(path string) (*Query, error) {
-	branches, err := xpath.ParseUnion(db.dict, path)
+	branches, err := xpathParseUnion(db, path)
 	if err != nil {
 		return nil, err
 	}
-	for _, b := range branches {
-		if !b.Absolute {
-			return nil, fmt.Errorf("pathdb: query %q must be absolute (use Node.Query for relative paths)", path)
-		}
-	}
-	return &Query{db: db, path: branches[0], branches: branches, contexts: db.store.Roots()}, nil
+	return &Query{db: db, path: path, branches: branches}, nil
 }
 
-// Query is a compiled, tunable location-path query.
+// Query is a compiled, tunable location-path query. Count, Nodes and Each
+// run it exactly as DB.QueryCtx and DB.QueryStream run a path with the
+// same options — on the DB's executor, pinning one snapshot — so a Query
+// is safe beside concurrent queries and Updates. They have no error
+// return: a storage fault (see DB.SetFaults) panics with the typed *Error;
+// use DB.QueryCtx to handle it as a value.
 type Query struct {
 	db       *DB
-	path     *xpath.Path   // first branch (all of it for non-unions)
-	branches []*xpath.Path // union branches; len == 1 for plain paths
-	contexts []storage.NodeID
-
-	strategy Strategy
-	sorted   bool
-	opts     core.PlanOptions
-	choice   *plan.Choice
+	path     string
+	branches [][]xpath.Step   // simplified union branches; one for plain paths
+	contexts []storage.NodeID // context nodes; nil for the volume roots
+	opts     QueryOptions
 }
 
 // WithStrategy forces a physical strategy (default Auto).
 func (q *Query) WithStrategy(s Strategy) *Query {
-	q.strategy = s
+	q.opts.Strategy = s
 	return q
 }
 
 // Sorted requests results in document order (Sec. 5.5 of the paper).
 func (q *Query) Sorted() *Query {
-	q.sorted = true
+	q.opts.Sorted = true
 	return q
 }
 
@@ -503,21 +511,30 @@ func (q *Query) WithMemoryLimit(instances int) *Query {
 // WithPredEval forces the predicate evaluator (default PredAuto: the
 // cost model decides per query).
 func (q *Query) WithPredEval(pe PredEval) *Query {
-	q.opts.PredEval = pe.internal()
+	q.opts.PredEval = pe
 	return q
 }
 
 // Plan returns the physical operator tree the query will execute, one
 // operator per line (EXPLAIN output).
 func (q *Query) Plan() string {
-	return q.build().Describe(q.db.dict)
+	steps := q.branches[0]
+	strat, pred, _ := plan.Resolve(q.db.getChooser, steps, q.opts.Strategy == Auto,
+		q.opts.Strategy.internal(), q.opts.PredEval.internal())
+	contexts := q.contexts
+	if contexts == nil {
+		contexts = q.db.store.Roots()
+	}
+	return core.BuildPlan(q.db.store, steps, contexts, strat, core.PlanOptions{
+		MemLimit:    q.opts.MemLimit,
+		PredEval:    pred,
+		SortResults: q.opts.Sorted,
+	}).Describe(q.db.dict)
 }
 
 // Explain returns the cost-model decision for this query (forcing a
 // strategy bypasses the model; Explain still reports its opinion).
-func (q *Query) Explain() string {
-	return q.db.getChooser().Choose(q.steps()).String()
-}
+func (q *Query) Explain() string { return q.choice().String() }
 
 // PlanChoice is the cost model's full decision for a query: the chosen
 // strategy, the estimated cluster coverage that drove it, and the virtual
@@ -570,151 +587,47 @@ func fromPlanChoice(c plan.Choice) PlanChoice {
 
 // Choice returns the cost model's structured decision for this query —
 // Explain's machine-readable counterpart.
-func (q *Query) Choice() PlanChoice {
-	return fromPlanChoice(q.db.getChooser().Choose(q.steps()))
+func (q *Query) Choice() PlanChoice { return fromPlanChoice(q.choice()) }
+
+// choice is the cost model's decision for the first branch, whatever
+// strategy the query forces.
+func (q *Query) choice() plan.Choice {
+	_, _, c := plan.Resolve(q.db.getChooser, q.branches[0], true, 0, q.opts.PredEval.internal())
+	return *c
 }
 
-func (q *Query) steps() []xpath.Step {
-	return q.path.Simplify().Steps
-}
-
-// hasPredicates reports whether any location step carries a predicate —
-// the gate that spares predicate-free forced-strategy queries a chooser
-// consultation (and the statistics walk constructing one implies).
-func hasPredicates(steps []xpath.Step) bool { return xpath.HasPredicates(steps) }
-
-func (q *Query) build() *core.Plan { return q.buildWith(nil) }
-
-// buildWith compiles the plan with pooled per-query scratch attached. The
-// arena's lifetime must cover the plan's execution — Count/Nodes/Each
-// borrow one around each run; Plan()/Describe pass nil (no execution).
-func (q *Query) buildWith(arena *core.Arena) *core.Plan {
-	steps := q.steps()
-	opts := q.opts
-	opts.SortResults = q.sorted
-	opts.Arena = arena
-	strat := q.strategy
-	if strat == Auto {
-		choice := q.db.getChooser().Choose(steps)
-		q.choice = &choice
-		if opts.PredEval == core.PredAuto {
-			opts.PredEval = choice.PredEval
-		}
-		return core.BuildPlan(q.db.store, steps, q.contexts, choice.Strategy, opts)
-	}
-	if opts.PredEval == core.PredAuto && hasPredicates(steps) {
-		opts.PredEval = q.db.getChooser().Choose(steps).PredEval
-	}
-	return core.BuildPlan(q.db.store, steps, q.contexts, strat.internal(), opts)
-}
-
-// isUnion reports whether the query has several branches.
-func (q *Query) isUnion() bool { return len(q.branches) > 1 }
-
-// runUnion evaluates every branch — with one shared XSchedule when the
-// strategy allows — and merges the node sets.
-func (q *Query) runUnion(arena *core.Arena) []core.Result {
-	var all []core.Result
-	strat := q.strategy
-	opts := q.opts
-	opts.Arena = arena
-	if strat == Auto || strat == Schedule {
-		var queries []core.MultiQuery
-		for _, b := range q.branches {
-			mq := core.MultiQuery{
-				Path:     b.Simplify().Steps,
-				Contexts: q.contexts,
-			}
-			if opts.PredEval == core.PredAuto && hasPredicates(mq.Path) {
-				mq.PredEval = q.db.getChooser().Choose(mq.Path).PredEval
-			}
-			queries = append(queries, mq)
-		}
-		for _, rs := range core.BuildMultiPlan(q.db.store, queries, opts).Run() {
-			all = append(all, rs...)
-		}
-	} else {
-		for _, b := range q.branches {
-			steps := b.Simplify().Steps
-			bopts := opts
-			if bopts.PredEval == core.PredAuto && hasPredicates(steps) {
-				bopts.PredEval = q.db.getChooser().Choose(steps).PredEval
-			}
-			plan := core.BuildPlan(q.db.store, steps, q.contexts, strat.internal(), bopts)
-			all = append(all, plan.Run()...)
-		}
-	}
-	// Union semantics: a node set.
-	seen := make(map[storage.NodeID]bool, len(all))
-	out := all[:0]
-	for _, r := range all {
-		if seen[r.Node] {
-			continue
-		}
-		seen[r.Node] = true
-		out = append(out, r)
-	}
-	if q.sorted {
-		sort.Slice(out, func(i, j int) bool {
-			return ordpath.Compare(out[i].Ord, out[j].Ord) < 0
-		})
-	}
-	return out
+// cursor runs the query on the DB's executor.
+func (q *Query) cursor(live bool) *Cursor {
+	return q.db.run(context.Background(), q.path, q.branches, q.contexts, q.opts, live)
 }
 
 // Count executes the query and returns its cardinality.
-func (q *Query) Count() int {
-	arena := core.GetArena()
-	defer core.PutArena(arena)
-	if q.isUnion() {
-		return len(q.runUnion(arena))
-	}
-	return q.buildWith(arena).Count()
-}
+func (q *Query) Count() int { return len(q.Nodes()) }
 
 // Nodes executes the query and returns handles on the result nodes.
 func (q *Query) Nodes() []Node {
-	arena := core.GetArena()
-	defer core.PutArena(arena)
-	var rs []core.Result
-	if q.isUnion() {
-		rs = q.runUnion(arena)
-	} else {
-		rs = q.buildWith(arena).Run()
+	c := q.cursor(false)
+	defer c.Close()
+	res, err := c.Drain()
+	if err != nil {
+		panic(err)
 	}
-	out := make([]Node, len(rs))
-	for i, r := range rs {
-		out[i] = Node{db: q.db, id: r.Node}
-	}
-	return out
+	return res.Nodes
 }
 
-// Each executes the query, invoking f per result in production order.
-// Union queries are materialized first (their branches interleave on the
-// shared scheduler).
+// Each executes the query, invoking f per result in production order
+// until f returns false. Results stream from the executor as they are
+// produced (a sorted union is merged first).
 func (q *Query) Each(f func(Node) bool) {
-	arena := core.GetArena()
-	defer core.PutArena(arena)
-	if q.isUnion() {
-		for _, r := range q.runUnion(arena) {
-			if !f(Node{db: q.db, id: r.Node}) {
-				return
-			}
+	c := q.cursor(true)
+	defer c.Close()
+	for c.Next() {
+		if !f(c.Node()) {
+			return
 		}
-		return
 	}
-	p := q.buildWith(arena)
-	root := p.Root()
-	root.Open()
-	defer root.Close()
-	for {
-		inst, ok := root.Next()
-		if !ok {
-			return
-		}
-		if !f(Node{db: q.db, id: inst.NR}) {
-			return
-		}
+	if err := c.Err(); err != nil {
+		panic(err)
 	}
 }
 
@@ -792,5 +705,6 @@ func (n Node) Query(path string) (*Query, error) {
 	if parsed.Absolute {
 		return nil, fmt.Errorf("pathdb: relative path expected, got %q", path)
 	}
-	return &Query{db: n.db, path: parsed, contexts: []storage.NodeID{n.id}}, nil
+	return &Query{db: n.db, path: path, branches: [][]xpath.Step{parsed.Simplify().Steps},
+		contexts: []storage.NodeID{n.id}}, nil
 }

@@ -7,14 +7,13 @@ import (
 	"pathdb/internal/core"
 	"pathdb/internal/engine"
 	"pathdb/internal/ordpath"
-	"pathdb/internal/stats"
 	"pathdb/internal/storage"
-	"pathdb/internal/xpath"
 )
 
-// Cursor is a pull-based result stream: the primitive evaluation surface
-// that both the buffered calls (Session.Do, DB.QueryCtx) and the streaming
-// ones (Session.Stream, DB.QueryStream) are built on.
+// Cursor is a pull-based result stream: the one evaluation surface every
+// query call is built on. The buffered calls (Session.Do, DB.QueryCtx,
+// Query.Count/Nodes) drain a cursor in buffered mode; the streaming ones
+// (Session.Stream, DB.QueryStream, Query.Each) hand out a live one.
 //
 //	c, err := sess.Stream(ctx, "//item", pathdb.QueryOptions{})
 //	if err != nil { ... }
@@ -28,14 +27,18 @@ import (
 // hold its producer blocked on back-pressure. Close is idempotent, safe
 // mid-stream — it cancels the query, which withdraws its in-flight cluster
 // prefetches and returns pooled arenas/iterators at the next poll point —
-// and after it Next reports false.
+// and after it Next reports false. Once the stream has ended (Next
+// reported false, or Close returned), nothing the query started is left
+// running.
 //
-// Delivery is incremental for unsorted queries: each match is handed over
-// as the operator tree produces it, with the producer at most a bounded
-// channel ahead (back-pressure). Sorted queries are order-enforced: the
-// producer must see every match before the first can be delivered, so the
-// stream starts only when evaluation finishes (the buffering is charged to
-// the query like any other work).
+// A cursor has two delivery modes. A live cursor reads each union
+// branch's engine sink in submission order: unsorted matches are handed
+// over as the operator tree produces them, with the producer at most a
+// bounded channel ahead (back-pressure), and a sorted single path starts
+// only when evaluation finishes (order enforcement buffers at the
+// producer, charged to the query like any other work). A buffered cursor
+// waits for every branch, merges them — union dedup, the document-order
+// sort of a sorted union, the Limit cut — and yields the merged nodes.
 //
 // A Cursor is not safe for concurrent use by multiple goroutines.
 type Cursor struct {
@@ -46,26 +49,25 @@ type Cursor struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// Engine-backed state: one Pending per union branch, drained in
-	// submission order. Live cursors read the sinks; buffered cursors wait
-	// the summaries and iterate the merged node list.
+	// One Pending per union branch, drained in submission order. Live
+	// cursors read the sinks; buffered cursors wait the summaries and
+	// iterate the merged node list.
 	pend []*engine.Pending
 	live bool
 	cur  int             // branch currently being drained (live)
 	bres []engine.Result // clean branch summaries harvested so far
+	// exited closes when the goroutine executing a DB-level query has
+	// exited; nil for session queries, which run on the engine's workers.
+	exited <-chan struct{}
 
-	// Direct state (DB.QueryStream): the operator tree is pulled on the
-	// caller's goroutine, engine-free.
-	direct *directCursor
-
-	// Buffered iteration state (engine-buffered and direct-sorted): the
-	// merged result, yielded one node at a time.
+	// Buffered iteration state: the merged result, yielded one node at a
+	// time.
 	merged bool
 	sum    ExecResult
 	sumOK  bool
 	idx    int
 
-	seen    map[storage.NodeID]bool // union dedup (live modes)
+	seen    map[storage.NodeID]bool // union dedup
 	node    Node
 	yielded int
 	capped  bool // Limit reached; next Next() terminates the stream
@@ -94,10 +96,11 @@ func (s *Session) TryStream(ctx context.Context, path string, opts QueryOptions)
 }
 
 func (s *Session) stream(ctx context.Context, path string, opts QueryOptions, try, live bool) (*Cursor, error) {
-	queries, live, err := s.compile(path, opts, live)
+	branches, err := xpathParseUnion(s.eng.db, path)
 	if err != nil {
 		return nil, err
 	}
+	queries, live := engineQueries(path, branches, nil, opts, live)
 	cctx, cancel := opts.context(ctx)
 
 	// Submit every branch before reading so union branches enter one gang;
@@ -120,19 +123,8 @@ func (s *Session) stream(ctx context.Context, path string, opts QueryOptions, tr
 		}
 		pendings = append(pendings, p)
 	}
-	c := &Cursor{
-		db:     s.eng.db,
-		path:   path,
-		opts:   opts,
-		ctx:    cctx,
-		cancel: cancel,
-		pend:   pendings,
-		live:   live,
-	}
-	if live && len(pendings) > 1 {
-		c.seen = make(map[storage.NodeID]bool)
-	}
-	return c, nil
+	return &Cursor{db: s.eng.db, path: path, opts: opts, ctx: cctx, cancel: cancel,
+		pend: pendings, live: live}, nil
 }
 
 // Next advances the cursor to the next result node, reporting false when
@@ -143,17 +135,13 @@ func (c *Cursor) Next() bool {
 		return false
 	}
 	if c.capped {
-		c.terminate()
+		c.finish()
 		return false
 	}
-	switch {
-	case c.direct != nil:
-		return c.nextDirect()
-	case c.live:
+	if c.live {
 		return c.nextLive()
-	default:
-		return c.nextBuffered()
 	}
+	return c.nextBuffered()
 }
 
 // Node returns the node Next positioned the cursor on.
@@ -187,50 +175,20 @@ func (c *Cursor) Close() error {
 		return nil
 	}
 	c.closed = true
-	c.cancel()
-	if c.direct != nil {
-		c.direct.close()
-		if !c.sumOK {
-			c.finishDirect()
-		}
-		return nil
-	}
-	// Settle every branch not yet harvested: drain sinks so producers
-	// unblock, then wait for the engine to finish each Pending (it always
-	// does — cancellation stops it at the next poll point). This is what
-	// makes Close leak-free: no worker is left blocked on our channels
-	// and no prefetch stays in flight.
-	for i := c.cur; i < len(c.pend); i++ {
-		p := c.pend[i]
-		if ch := p.C(); ch != nil {
-			for range ch {
-			}
-		}
-		if res, err := p.Wait(context.Background()); err == nil {
-			c.bres = append(c.bres, res)
-		}
-	}
-	c.cur = len(c.pend)
-	if !c.sumOK && len(c.bres) > 0 {
-		c.sum = aggregateBranches(c.bres)
-		c.sumOK = true
-	}
-	c.done = true
+	c.finish()
 	return nil
 }
 
-// terminate ends a Limit-capped stream cleanly: remaining production is
-// cancelled and the summary is built from the branches seen.
-func (c *Cursor) terminate() {
-	if c.direct != nil {
-		c.direct.close()
-		c.finishDirect()
-		c.done = true
-		return
-	}
+// settle cancels whatever is still running, drains every branch not yet
+// harvested so no producer stays blocked on its sink, keeps the clean
+// branch summaries, and waits for a DB-level query's goroutine to exit.
+// This is what makes every way a stream ends leak-free: the engine always
+// finishes a Pending, because cancellation stops it at the next poll
+// point.
+func (c *Cursor) settle() {
 	c.cancel()
-	for i := c.cur; i < len(c.pend); i++ {
-		p := c.pend[i]
+	for ; c.cur < len(c.pend); c.cur++ {
+		p := c.pend[c.cur]
 		if ch := p.C(); ch != nil {
 			for range ch {
 			}
@@ -239,12 +197,21 @@ func (c *Cursor) terminate() {
 			c.bres = append(c.bres, res)
 		}
 	}
-	c.cur = len(c.pend)
-	if !c.sumOK {
+	if c.exited != nil {
+		<-c.exited
+	}
+	c.done = true
+}
+
+// finish ends the stream cleanly (exhausted, Limit-capped or closed):
+// remaining production is settled and, unless the stream failed, the
+// summary is built from the branches that completed.
+func (c *Cursor) finish() {
+	c.settle()
+	if !c.sumOK && c.err == nil {
 		c.sum = aggregateBranches(c.bres)
 		c.sumOK = true
 	}
-	c.done = true
 }
 
 // nextLive pulls the next node from the engine sinks, branch by branch in
@@ -252,9 +219,7 @@ func (c *Cursor) terminate() {
 func (c *Cursor) nextLive() bool {
 	for {
 		if c.cur >= len(c.pend) {
-			c.sum = aggregateBranches(c.bres)
-			c.sumOK = true
-			c.done = true
+			c.finish()
 			return false
 		}
 		r, ok := <-c.pend[c.cur].C()
@@ -268,15 +233,28 @@ func (c *Cursor) nextLive() bool {
 			c.cur++
 			continue
 		}
-		if c.seen != nil {
-			if c.seen[r.Node] {
-				continue
-			}
-			c.seen[r.Node] = true
+		if !c.fresh(r.Node) {
+			continue
 		}
 		c.yield(Node{db: c.db, id: r.Node})
 		return true
 	}
+}
+
+// fresh reports whether id has not been delivered before — the node-set
+// semantics of a union; single paths never repeat a node.
+func (c *Cursor) fresh(id storage.NodeID) bool {
+	if len(c.pend) < 2 {
+		return true
+	}
+	if c.seen == nil {
+		c.seen = make(map[storage.NodeID]bool)
+	}
+	if c.seen[id] {
+		return false
+	}
+	c.seen[id] = true
+	return true
 }
 
 // nextBuffered waits for every branch once, merges them exactly like the
@@ -289,7 +267,7 @@ func (c *Cursor) nextBuffered() bool {
 		}
 	}
 	if c.idx >= len(c.sum.Nodes) {
-		c.done = true
+		c.finish()
 		return false
 	}
 	c.yield(c.sum.Nodes[c.idx])
@@ -307,18 +285,7 @@ func (c *Cursor) yield(n Node) {
 
 func (c *Cursor) fail(err error) {
 	c.err = wrapErr("query", c.path, err)
-	c.done = true
-	c.cancel()
-	// Settle the remaining branches so nothing stays blocked on our sinks.
-	for i := c.cur; i < len(c.pend); i++ {
-		p := c.pend[i]
-		if ch := p.C(); ch != nil {
-			for range ch {
-			}
-		}
-		p.Wait(context.Background())
-	}
-	c.cur = len(c.pend)
+	c.settle()
 }
 
 // mergeBuffered combines the branch results into one ExecResult — the Do
@@ -338,24 +305,16 @@ func (c *Cursor) mergeBuffered() {
 
 	var all []core.Result
 	for _, r := range c.bres {
-		all = append(all, r.Results...)
-	}
-	if len(c.pend) > 1 {
-		seen := make(map[storage.NodeID]bool, len(all))
-		dedup := all[:0]
-		for _, r := range all {
-			if seen[r.Node] {
-				continue
+		for _, x := range r.Results {
+			if c.fresh(x.Node) {
+				all = append(all, x)
 			}
-			seen[r.Node] = true
-			dedup = append(dedup, r)
 		}
-		all = dedup
-		if c.opts.Sorted {
-			sort.Slice(all, func(i, j int) bool {
-				return ordpath.Compare(all[i].Ord, all[j].Ord) < 0
-			})
-		}
+	}
+	if len(c.pend) > 1 && c.opts.Sorted {
+		sort.Slice(all, func(i, j int) bool {
+			return ordpath.Compare(all[i].Ord, all[j].Ord) < 0
+		})
 	}
 	if c.opts.Limit > 0 && len(all) > c.opts.Limit {
 		all = all[:c.opts.Limit]
@@ -368,11 +327,12 @@ func (c *Cursor) mergeBuffered() {
 	c.sumOK = true
 }
 
-// drainAll consumes the whole cursor and returns the buffered-call result:
-// every yielded node plus the aggregated summary.
-func (c *Cursor) drainAll() (ExecResult, error) {
-	if !c.live && c.direct == nil {
-		// Buffered engine mode already materializes the exact Do result.
+// Drain consumes the rest of the stream and returns it as a buffered
+// ExecResult — the bridge from cursor to one-shot semantics. Session.Do and
+// DB.QueryCtx are exactly cursor-then-Drain.
+func (c *Cursor) Drain() (ExecResult, error) {
+	if !c.live {
+		// A buffered cursor already materializes the exact Do result.
 		if !c.merged {
 			c.mergeBuffered()
 		}
@@ -389,11 +349,6 @@ func (c *Cursor) drainAll() (ExecResult, error) {
 	res.Nodes = nodes
 	return res, nil
 }
-
-// Drain consumes the rest of the stream and returns it as a buffered
-// ExecResult — the bridge from cursor to one-shot semantics. Session.Do is
-// exactly stream-then-Drain.
-func (c *Cursor) Drain() (ExecResult, error) { return c.drainAll() }
 
 // aggregateBranches folds branch summaries into one ExecResult (no nodes):
 // costs sum, shared flags or, and the virtual latency spans the earliest
@@ -427,224 +382,17 @@ func aggregateBranches(branch []engine.Result) ExecResult {
 	return out
 }
 
-// ---------------------------------------------------------------------------
-// Direct (engine-free) streaming: DB.QueryStream.
-
-// QueryStream opens a cursor directly over the operator tree, on the
-// caller's goroutine — the streaming counterpart of DB.QueryCtx, and the
-// engine-free counterpart of Session.Stream. Unsorted queries pull the
-// plan incrementally: each Next advances the operators just far enough to
-// produce one match. Sorted queries evaluate fully first (order
-// enforcement), then stream the sorted result.
-//
-// Like QueryCtx, it is not safe for use concurrently with other queries on
-// the same DB; use Session.Stream for concurrent streaming.
+// QueryStream opens a cursor over the path's results on the DB's own
+// executor: the streaming counterpart of DB.QueryCtx, and Session.Stream
+// without an Engine. Delivery follows Session.Stream (live for unsorted
+// queries and a sorted single path, buffered for a sorted union). A live
+// query runs on one goroutine, which the final Next or Close waits for.
+// Like QueryCtx it pins one snapshot and is safe beside concurrent
+// queries and Updates.
 func (db *DB) QueryStream(ctx context.Context, path string, opts QueryOptions) (*Cursor, error) {
 	branches, err := xpathParseUnion(db, path)
 	if err != nil {
 		return nil, err
 	}
-	cctx, cancel := opts.context(ctx)
-	if opts.Sorted {
-		// Order enforcement buffers anyway: evaluate through the buffered
-		// path and stream the sorted nodes from the cursor.
-		res, qerr := db.QueryCtx(cctx, path, opts)
-		if qerr != nil {
-			cancel()
-			return nil, qerr
-		}
-		c := &Cursor{db: db, path: path, opts: opts, ctx: cctx, cancel: cancel,
-			merged: true, sum: res, sumOK: true}
-		return c, nil
-	}
-	d := &directCursor{
-		db:       db,
-		branches: branches,
-		arena:    core.GetArena(),
-		startLed: db.store.Ledger().Snapshot(),
-	}
-	c := &Cursor{db: db, path: path, opts: opts, ctx: cctx, cancel: cancel, direct: d}
-	if len(branches) > 1 {
-		c.seen = make(map[storage.NodeID]bool)
-	}
-	return c, nil
-}
-
-// directCursor pulls the operator tree of one branch at a time on the
-// consumer's goroutine. Union branches evaluate sequentially (a streamed
-// union has no shared scheduler — delivery is paced by the consumer).
-type directCursor struct {
-	db       *DB
-	branches [][]xpath.Step
-	bi       int
-	root     core.Operator
-	opened   bool
-	arena    *core.Arena
-	startLed stats.Ledger
-	strat    Strategy
-	choice   *PlanChoice
-	strategd bool
-	closed   bool
-}
-
-// open builds and opens the plan for the current branch. A page fault
-// during open is returned as a typed error.
-func (d *directCursor) open(ctx context.Context, opts QueryOptions) (ferr error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if pe, ok := storage.AsPageFault(r); ok {
-				ferr = pe
-				return
-			}
-			panic(r)
-		}
-	}()
-	strat := opts.Strategy
-	if !d.strategd {
-		d.strategd = true
-		if strat == Auto && len(d.branches) == 1 {
-			ch := d.db.getChooser().Choose(d.branches[0])
-			d.strat = fromCore(ch.Strategy)
-			pc := fromPlanChoice(ch)
-			d.choice = &pc
-		} else if strat == Auto {
-			d.strat = Schedule
-		} else {
-			d.strat = strat
-		}
-	}
-	pe := opts.PredEval.internal()
-	if pe == core.PredAuto && hasPredicates(d.branches[d.bi]) {
-		if d.choice != nil && d.bi == 0 {
-			pe = d.choice.PredEval.internal()
-		} else {
-			pe = d.db.getChooser().Choose(d.branches[d.bi]).PredEval
-		}
-	}
-	p := core.BuildPlan(d.db.store, d.branches[d.bi], d.db.store.Roots(), d.strat.internal(),
-		core.PlanOptions{MemLimit: opts.MemLimit, Ctx: ctx, Arena: d.arena, PredEval: pe})
-	d.root = p.Root()
-	d.root.Open()
-	d.opened = true
-	return nil
-}
-
-// pull advances the current branch by one match, converting the fault
-// plane's typed panic into an error.
-func (d *directCursor) pull() (inst core.Instance, ok bool, ferr error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if pe, isPF := storage.AsPageFault(r); isPF {
-				ferr = pe
-				return
-			}
-			panic(r)
-		}
-	}()
-	inst, ok = d.root.Next()
-	return inst, ok, nil
-}
-
-// close releases the current plan and pooled resources, and withdraws the
-// volume's in-flight cluster prefetches (a streamed plan abandoned
-// mid-flight may have requests queued on the device).
-func (d *directCursor) close() {
-	if d.closed {
-		return
-	}
-	d.closed = true
-	if d.opened {
-		d.opened = false
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, isPF := storage.AsPageFault(r); !isPF {
-						panic(r)
-					}
-				}
-			}()
-			d.root.Close()
-		}()
-	}
-	d.root = nil
-	d.db.store.CancelRequests()
-	if d.arena != nil {
-		core.PutArena(d.arena)
-		d.arena = nil
-	}
-}
-
-// nextDirect advances the direct cursor: open the next branch as needed,
-// pull one match, dedup across union branches.
-func (c *Cursor) nextDirect() bool {
-	d := c.direct
-	for {
-		if cerr := c.ctx.Err(); cerr != nil {
-			c.failDirect(cerr)
-			return false
-		}
-		if !d.opened {
-			if d.bi >= len(d.branches) {
-				d.close()
-				c.finishDirect()
-				c.done = true
-				return false
-			}
-			if ferr := d.open(c.ctx, c.opts); ferr != nil {
-				c.failDirect(ferr)
-				return false
-			}
-		}
-		inst, ok, ferr := d.pull()
-		if ferr != nil {
-			c.failDirect(ferr)
-			return false
-		}
-		if !ok {
-			// A cancelled plan ends its stream early rather than erroring;
-			// surface the context failure as the typed taxonomy error.
-			if cerr := c.ctx.Err(); cerr != nil {
-				c.failDirect(cerr)
-				return false
-			}
-			d.opened = false
-			d.root.Close()
-			d.root = nil
-			d.bi++
-			continue
-		}
-		if c.seen != nil {
-			if c.seen[inst.NR] {
-				continue
-			}
-			c.seen[inst.NR] = true
-		}
-		c.yield(Node{db: c.db, id: inst.NR})
-		return true
-	}
-}
-
-func (c *Cursor) failDirect(err error) {
-	c.err = wrapErr("query", c.path, err)
-	c.done = true
-	c.direct.close()
-	c.cancel()
-	c.finishDirect()
-}
-
-// finishDirect stamps the direct cursor's summary from the volume-ledger
-// delta (the same accounting DB.QueryCtx reports).
-func (c *Cursor) finishDirect() {
-	if c.sumOK {
-		return
-	}
-	d := c.direct
-	end := c.db.store.Ledger().Snapshot()
-	out := ExecResult{Strategy: d.strat, Choice: d.choice, Gang: 1}
-	out.CostV = end.Now - d.startLed.Now
-	out.CPUV = end.CPU - d.startLed.CPU
-	out.IOWaitV = end.IOWait - d.startLed.IOWait
-	out.VirtualLatency = out.CostV
-	c.sum = out
-	c.sumOK = true
+	return db.run(ctx, path, branches, nil, opts, true), nil
 }

@@ -243,3 +243,59 @@ func countPath(t *testing.T, db *DB, path string) int {
 	}
 	return q.Count()
 }
+
+// TestCheckpointBesideEngineReads: with a checkpoint after every commit
+// group, engine reads open storage views while the first commit adopts
+// the volume and the transaction manager rewrites the checkpoint chain.
+// Run under -race: neither may live in the store struct that every view
+// copies. The reads force a strategy, so no chooser lock orders them
+// against the writer.
+func TestCheckpointBesideEngineReads(t *testing.T) {
+	db := engineFixture(t)
+	if err := db.SetTxnOptions(TxnOptions{CheckpointEvery: 1, GroupWindow: -1}); err != nil {
+		t.Fatal(err)
+	}
+	site := mustOne(t, db, "/site")
+	eng := db.NewEngine(EngineConfig{MaxInFlight: 4, Parallel: 2})
+	defer eng.Close()
+	const commits, readers = 12, 3
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan error, readers+1)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ses := eng.NewSession()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := ses.Do(context.Background(), "/site/probe", QueryOptions{Strategy: Schedule}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < commits; i++ {
+		if _, err := eng.UpdateEpoch(func(tx *Tx) error {
+			_, err := tx.InsertXML(site, "<probe/>")
+			return err
+		}); err != nil {
+			errs <- err
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n := countPath(t, db, "/site/probe"); n != commits {
+		t.Errorf("%d probes after %d commits", n, commits)
+	}
+}
