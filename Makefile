@@ -97,11 +97,14 @@ api-check:
 	$(GO) run ./cmd/apigate
 
 # Transaction subsystem: WAL/group-commit/recovery unit tests and the
-# seeded crash matrix (internal/txn), the facade's mixed read/write
-# gauntlet (snapshot isolation + goroutine-leak check), and the HTTP
-# update path, all under -race.
+# seeded crash matrix (internal/txn), the group-commit timing tests
+# repeated 20 times (batching at GOMAXPROCS 1 and above, and a lone
+# commit that must not wait out the window), the facade's mixed
+# read/write gauntlet (snapshot isolation + goroutine-leak check), and
+# the HTTP update path, all under -race.
 test-txn:
 	$(GO) test -race ./internal/txn/
+	$(GO) test -race -count=20 -run 'TestGroupCommitBatching|TestLoneCommitSkipsWindow' ./internal/txn/
 	$(GO) test -race -run 'TestUpdate|TestQueryChoice' ./internal/server/ .
 
 # Sharding subsystem: ring placement/skew/degradation, the split

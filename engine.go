@@ -33,9 +33,11 @@ type EngineConfig struct {
 	// QueueDepth bounds the admission queue: TrySubmit beyond it is
 	// rejected, Do/Submit block (default 64).
 	QueueDepth int
-	// Parallel is the worker-pool width per gang: how many gang tasks
-	// (shared scheduler groups and solo queries) execute concurrently.
-	// Default min(MaxInFlight, GOMAXPROCS).
+	// Parallel is the engine-wide worker width: how many tasks (shared
+	// scheduler groups and solo queries) execute at once, across every
+	// gang in flight. Gangs overlap only while the buffer pool holds the
+	// whole volume; otherwise they run one at a time, each on up to
+	// Parallel workers. Default min(MaxInFlight, GOMAXPROCS).
 	Parallel int
 }
 
@@ -44,8 +46,8 @@ type EngineConfig struct {
 // with NewSession; Close shuts the dispatcher down.
 //
 // See internal/engine for the execution model: submissions are admitted
-// into a bounded queue, gathered into gangs by a single dispatcher, and
-// executed on a worker pool over concurrent read-only storage views, with
+// into a bounded queue, gathered into gangs by a single dispatcher as
+// workers free up, and executed over concurrent read-only storage views, with
 // compatible XSchedule plans batched onto shared schedulers so the
 // asynchronous I/O layer reorders cluster loads across query boundaries.
 // Every query pays its costs on a private virtual clock that is folded

@@ -8,14 +8,24 @@
 // asynchronous device queue (core.MultiPlan), so the I/O scheduler reorders
 // across query boundaries.
 //
-// Execution model — parallel gang scheduling. Any number of goroutines
-// submit into a bounded admission queue; a single dispatcher drains the
-// queue in gangs of at most MaxInFlight queries and classifies each gang:
-// batchable members are partitioned into shared-scheduler groups, the rest
-// run solo. The resulting tasks execute on a pool of up to Parallel worker
-// goroutines — the storage read path (buffer pool, swizzle cache, simulated
-// device) is safe for concurrent readers, so independent plans make
-// wall-clock progress in parallel while still sharing every physical cache.
+// Execution model — overlapping gangs. Any number of goroutines submit
+// into a bounded admission queue. A single dispatcher drains the queue in
+// gangs of at most MaxInFlight queries, gathering each gang as soon as one
+// of the engine's Parallel workers is free, and classifies it: batchable
+// members are partitioned into shared-scheduler groups, the rest run solo.
+// The storage read path (buffer pool, swizzle cache, simulated device) is
+// safe for concurrent readers, so independent plans make wall-clock
+// progress in parallel while still sharing every physical cache.
+//
+// Residency rule. The simulated device is one server, so two gangs that
+// overlap while both read it would each pay for the other's I/O. Gangs
+// therefore overlap only while the buffer pool can hold the whole volume
+// (checked at every dispatch): then up to Parallel tasks of any number of
+// gangs run at once, and a gang whose worker is parked on a slow stream
+// consumer does not hold up the queries behind it. On a volume larger than
+// its pool the dispatcher runs one gang at a time, each on up to Parallel
+// workers, so cold gangs keep their I/O to themselves and their
+// cross-query batching.
 //
 // Cost accounting. Each query runs against a read-only storage view
 // (storage.Store.Reader) with its own stats.Ledger: the query's CPU charges
@@ -29,7 +39,7 @@
 //
 // Dispatcher-free execution. Run executes one gang on the caller's behalf
 // without admission or the dispatcher — the same execute → runSolo/
-// runShared → deliver path, on as many workers as Config.Parallel allows.
+// runShared → deliver path, on up to Config.Parallel workers of its own.
 // The pathdb facade runs every DB-level query this way on a one-worker
 // engine, so a blocking query and a session query share one executor.
 //
@@ -96,11 +106,12 @@ type Config struct {
 	// QueueDepth bounds the admission queue; TrySubmit beyond it returns
 	// ErrQueueFull, Submit blocks. Default 64.
 	QueueDepth int
-	// Parallel is the worker-pool width per gang: how many gang tasks
-	// (shared groups and solo queries) execute concurrently. Default
-	// min(MaxInFlight, GOMAXPROCS); an explicit value may exceed
-	// GOMAXPROCS (oversubscription — useful for exercising the concurrent
-	// read path under -race on few cores).
+	// Parallel is the engine-wide worker width: how many tasks (shared
+	// groups and solo queries, from one gang or from several overlapping
+	// gangs) execute at once. A gang started by Run gets this many workers
+	// of its own. Default min(MaxInFlight, GOMAXPROCS); an explicit value
+	// may exceed GOMAXPROCS (oversubscription — useful for exercising the
+	// concurrent read path under -race on few cores).
 	Parallel int
 	// K overrides XSchedule's queue fill target (0 = core.DefaultK).
 	K int
@@ -244,8 +255,18 @@ type Engine struct {
 	dom *vdisk.Domain
 
 	// writers tracks admitted write transactions so shutdown waits for
-	// them the way it waits for the in-flight gang.
+	// them the way it waits for the in-flight gangs.
 	writers sync.WaitGroup
+
+	// slots holds one token per running dispatcher task: its capacity,
+	// Parallel, is the engine-wide worker width. Run gangs take none.
+	slots chan struct{}
+	// inflight counts the dispatcher's gangs that run beside it; live
+	// counts every dispatched gang in flight, and overlapped how many
+	// started while another was still running.
+	inflight   sync.WaitGroup
+	live       atomic.Int64
+	overlapped atomic.Int64
 
 	submitted atomic.Int64
 	rejected  atomic.Int64
@@ -291,6 +312,7 @@ func NewExecutor(store *storage.Store, cfg Config) *Engine {
 		stop:  make(chan struct{}),
 		drain: make(chan struct{}),
 		dom:   store.Disk().NewDomain(stats.NewLedger()),
+		slots: make(chan struct{}, cfg.Parallel),
 	}
 }
 
@@ -314,7 +336,7 @@ func (e *Engine) Metrics() Metrics {
 
 // AdmitWrite admits one write transaction: it fails with ErrClosed once
 // the engine is draining, and otherwise registers the writer so Drain and
-// Close wait for it like they wait for the in-flight gang. The returned
+// Close wait for it like they wait for the in-flight gangs. The returned
 // release must be called exactly once, when the write has committed or
 // aborted.
 func (e *Engine) AdmitWrite() (release func(), err error) {
@@ -330,8 +352,9 @@ func (e *Engine) AdmitWrite() (release func(), err error) {
 }
 
 // Close stops the dispatcher, failing queries still queued with ErrClosed.
-// Submissions racing Close fail with ErrClosed as well. Close waits for the
-// in-flight gang to finish.
+// Submissions racing Close fail with ErrClosed as well. Close waits for
+// every gang in flight to finish; their streaming members stop at the next
+// result their consumer has not taken.
 func (e *Engine) Close() {
 	e.shutAdmission()
 	e.stopOnce.Do(func() { close(e.stop) })
@@ -342,11 +365,11 @@ func (e *Engine) Close() {
 
 // Drain stops admission — submissions from here on fail with ErrClosed —
 // then lets the dispatcher finish every query already admitted (queued or
-// in flight) before stopping it. This is the graceful half of shutdown:
-// Close abandons the queue, Drain serves it. If ctx expires first, Drain
-// falls back to Close (remaining queued queries fail with ErrClosed) and
-// returns the context's error. Draining reports the engine's state to
-// callers that shed before submitting.
+// in any gang in flight) before stopping it. This is the graceful half of
+// shutdown: Close abandons the queue, Drain serves it. If ctx expires
+// first, Drain falls back to Close (remaining queued queries fail with
+// ErrClosed) and returns the context's error. Draining reports the
+// engine's state to callers that shed before submitting.
 func (e *Engine) Drain(ctx context.Context) error {
 	e.shutAdmission()
 	e.drainOnce.Do(func() { close(e.drain) })
@@ -410,26 +433,27 @@ func (e *Engine) Run(ctx context.Context, qs []Query) ([]*Pending, <-chan struct
 	}
 	exited := make(chan struct{})
 	if !live {
-		e.execute(gang)
+		e.execute(gang, false)
 		close(exited)
 		return gang, exited
 	}
 	go func() {
 		defer close(exited)
-		e.execute(gang)
+		e.execute(gang, false)
 	}()
 	return gang, exited
 }
 
-// run is the dispatcher: it drains the admission queue in gangs, classifies
-// each gang on this goroutine (the cost-model chooser is serial), and fans
-// the resulting tasks out to the gang's worker pool.
+// run is the dispatcher: it drains the admission queue in gangs and starts
+// each as soon as a worker is free (see dispatch). Before it exits, every
+// gang it started has finished.
 func (e *Engine) run() {
 	defer e.wg.Done()
+	defer e.inflight.Wait()
 	for {
 		select {
 		case p := <-e.queue:
-			e.execute(e.gather(p))
+			e.dispatch(p)
 		case <-e.stop:
 			e.failQueued()
 			return
@@ -443,7 +467,7 @@ func (e *Engine) run() {
 					e.failQueued()
 					return
 				case p := <-e.queue:
-					e.execute(e.gather(p))
+					e.dispatch(p)
 				default:
 					return
 				}
@@ -452,8 +476,38 @@ func (e *Engine) run() {
 	}
 }
 
+// dispatch gathers the gang p leads once a worker is free and starts it.
+// While the buffer pool can hold the whole volume, the gang runs on its own
+// goroutine beside the gangs already in flight: once the volume is warm a
+// gang does no device I/O, so overlapping cannot change any query's virtual
+// cost. Otherwise the dispatcher waits for the gangs in flight and runs
+// this one itself, one gang at a time. A stop while waiting for a worker
+// fails the query with ErrClosed, like the rest of the queue.
+func (e *Engine) dispatch(p *Pending) {
+	overlap := e.store.Disk().NumPages() <= e.store.Buffer().Capacity()
+	if !overlap {
+		e.inflight.Wait()
+	}
+	select {
+	case e.slots <- struct{}{}:
+	case <-e.stop:
+		p.finish(Result{}, ErrClosed)
+		return
+	}
+	gang := e.gather(p)
+	if !overlap {
+		e.execute(gang, true)
+		return
+	}
+	e.inflight.Add(1)
+	go func() {
+		defer e.inflight.Done()
+		e.execute(gang, true)
+	}()
+}
+
 // gather greedily extends a gang up to MaxInFlight without waiting: the
-// queries that arrived while the previous gang executed batch together.
+// queries that arrived while every worker was busy batch together.
 func (e *Engine) gather(first *Pending) []*Pending {
 	gang := []*Pending{first}
 	for len(gang) < e.cfg.MaxInFlight {
@@ -503,11 +557,17 @@ func (e *Engine) view(snap Snapshot, led *stats.Ledger) *storage.Store {
 
 // execute runs one gang: batchable members are partitioned into shared
 // groups (each a MultiPlan), the rest run solo, and the resulting tasks
-// execute on a worker pool of up to cfg.Parallel goroutines. The whole
-// gang reads one pinned snapshot, acquired here and released when every
-// member has finished.
-func (e *Engine) execute(gang []*Pending) {
+// execute on up to cfg.Parallel workers (see runTasks; held says the caller
+// holds one of the engine's worker slots). The whole gang reads one pinned
+// snapshot, acquired here and released when every member has finished.
+func (e *Engine) execute(gang []*Pending, held bool) {
 	e.gangs.Add(1)
+	if held {
+		if e.live.Add(1) > 1 {
+			e.overlapped.Add(1)
+		}
+		defer e.live.Add(-1)
+	}
 	var snap Snapshot
 	if e.cfg.Snapshots != nil {
 		snap = e.cfg.Snapshots.Snapshot()
@@ -548,7 +608,7 @@ func (e *Engine) execute(gang []*Pending) {
 	for _, u := range solo {
 		tasks = append(tasks, func() { e.runSolo(snap, u, gangSize) })
 	}
-	e.runTasks(tasks)
+	e.runTasks(tasks, held)
 }
 
 // splitShared partitions the batchable members into up to `workers`
@@ -581,35 +641,51 @@ func splitShared(units []execUnit, workers int) [][]execUnit {
 	return groups
 }
 
-// runTasks executes the gang's tasks on up to cfg.Parallel workers. With a
-// single worker (or task) everything runs on the calling goroutine — the
-// dispatcher — preserving the fully serial execution order.
-func (e *Engine) runTasks(tasks []func()) {
-	n := e.cfg.Parallel
-	if n > len(tasks) {
-		n = len(tasks)
-	}
-	if n <= 1 {
+// runTasks executes a gang's tasks on up to cfg.Parallel workers, the
+// calling goroutine first among them. Unheld (Run), the extra workers start
+// at once. Held, the caller runs on the worker slot it holds and each extra
+// worker joins only once it takes a free slot of the engine's, so the tasks
+// of all gangs in flight never exceed Parallel; the caller's slot is freed
+// as soon as it runs out of tasks. With one worker (or task) everything runs
+// on the calling goroutine, in order.
+func (e *Engine) runTasks(tasks []func(), held bool) {
+	if e.cfg.Parallel <= 1 || len(tasks) <= 1 {
 		for _, t := range tasks {
 			t()
 		}
+		if held {
+			<-e.slots
+		}
 		return
 	}
-	next := make(chan func())
+	var next atomic.Int64
+	work := func() {
+		for i := next.Add(1) - 1; i < int64(len(tasks)); i = next.Add(1) - 1 {
+			tasks[i]()
+		}
+	}
+	done := make(chan struct{}) // the caller ran out of tasks
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := 1; i < e.cfg.Parallel && i < len(tasks); i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for t := range next {
-				t()
+			if held {
+				select {
+				case e.slots <- struct{}{}:
+					defer func() { <-e.slots }()
+				case <-done:
+					return
+				}
 			}
+			work()
 		}()
 	}
-	for _, t := range tasks {
-		next <- t
+	work()
+	if held {
+		<-e.slots
 	}
-	close(next)
+	close(done)
 	wg.Wait()
 }
 
@@ -855,8 +931,8 @@ func (e *Engine) runSolo(snap Snapshot, u execUnit, gangSize int) {
 // emit hands one result to a streaming consumer, blocking when the sink is
 // full (back-pressure: the producer runs at most streamDepth results ahead).
 // It reports false — stop producing — when the query's context is cancelled
-// or the engine is stopping, so an abandoned consumer can never wedge a
-// worker or the dispatcher.
+// or the engine is stopping, so an abandoned consumer cannot keep a worker
+// past shutdown.
 func (e *Engine) emit(p *Pending, r core.Result) bool {
 	select {
 	case p.sink <- r:

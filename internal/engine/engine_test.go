@@ -238,7 +238,7 @@ func TestSharedBatchingBeatsSequential(t *testing.T) {
 		pendings = append(pendings, p)
 	}
 	st.ResetForRun()
-	e.execute(e.gather(<-e.queue))
+	e.execute(e.gather(<-e.queue), false)
 	engTotal := st.Ledger().Total()
 
 	for i, p := range pendings {
@@ -332,7 +332,7 @@ func TestCancellation(t *testing.T) {
 			t.Fatal(err)
 		}
 		cancel()
-		e.execute(e.gather(<-e.queue))
+		e.execute(e.gather(<-e.queue), false)
 		if _, err := p.Wait(context.Background()); err != context.Canceled {
 			t.Fatalf("Wait: err %v, want context.Canceled", err)
 		}
@@ -360,7 +360,7 @@ func TestCancellation(t *testing.T) {
 			t.Fatalf("Wait with cancelled context: err %v, want context.Canceled", err)
 		}
 		// The query itself is unaffected; run it to completion.
-		e.execute(e.gather(<-e.queue))
+		e.execute(e.gather(<-e.queue), false)
 		if _, err := p.Wait(context.Background()); err != nil {
 			t.Fatalf("query after abandoned Wait: %v", err)
 		}

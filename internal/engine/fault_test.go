@@ -248,7 +248,7 @@ func TestFaultIsolationInGang(t *testing.T) {
 	if err6 != nil || err15 != nil {
 		t.Fatalf("submit: %v / %v", err6, err15)
 	}
-	e.execute(e.gather(<-e.queue))
+	e.execute(e.gather(<-e.queue), false)
 
 	_, got6 := p6.Wait(context.Background())
 	var pe *storage.PageError

@@ -69,7 +69,7 @@ func TestParallelCostsMatchSequential(t *testing.T) {
 			}
 			pendings[i] = p
 		}
-		e.execute(e.gather(<-e.queue))
+		e.execute(e.gather(<-e.queue), false)
 		out := make([]Result, len(specs))
 		for i, p := range pendings {
 			res, err := p.Wait(context.Background())
@@ -124,7 +124,7 @@ func TestParallelCostsMatchSequential(t *testing.T) {
 			}
 			pendings[i] = p
 		}
-		e.execute(e.gather(<-e.queue))
+		e.execute(e.gather(<-e.queue), false)
 		out := make([]Result, len(sharedSpecs))
 		for i, p := range pendings {
 			res, err := p.Wait(context.Background())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -174,16 +175,14 @@ func TestQueryValidation(t *testing.T) {
 
 // TestQueryTimeout checks deadline propagation end to end: a 1ms budget on
 // a query that needs tens of milliseconds maps to 504, the engine counts
-// the cancellation, and the cancelled query's in-flight prefetches are
-// withdrawn from the device (async_withdrawn accounting).
+// the cancellation, and a query that times out mid-run has its in-flight
+// prefetches withdrawn from the device (async_withdrawn accounting).
 func TestQueryTimeout(t *testing.T) {
 	db := newTestDB(t, 0.5)
 	srv, ts := newTestServer(t, db, pathdb.EngineConfig{}, Options{})
 
 	sawTimeout := false
 	for i := 0; i < 10 && !sawTimeout; i++ {
-		// Force XSchedule so the query prefetches asynchronously — the
-		// withdrawal accounting below is about exactly those requests.
 		resp, data := postQuery(t, ts.URL, QueryRequest{Path: descQuery, TimeoutMS: 1, Strategy: "xschedule"})
 		switch resp.StatusCode {
 		case http.StatusGatewayTimeout:
@@ -201,16 +200,41 @@ func TestQueryTimeout(t *testing.T) {
 	if !sawTimeout {
 		t.Fatal("no request timed out despite a 1ms budget on a heavy query")
 	}
-
 	m := srv.eng.Metrics()
 	if m.Cancelled == 0 {
 		t.Fatalf("engine cancelled = 0 after timeouts (metrics %+v)", m)
 	}
-	if w := srv.eng.CostLedger().AsyncWithdrawn; w == 0 {
-		t.Fatal("async_withdrawn = 0: cancelled query's prefetches were not withdrawn")
-	}
 	if srv.timeouts.Load() == 0 {
 		t.Fatal("server timeout counter not incremented")
+	}
+
+	// The 1ms budget often expires before the query has a prefetch in
+	// flight (under -race, usually before it starts), so the withdrawal is
+	// checked on a query whose deadline cannot come early: a forced
+	// XSchedule stream whose consumer takes one node and then stops. Its
+	// producer has started (a node arrived) and cannot finish (the sink
+	// fills), so the deadline lands mid-run, with cluster requests queued
+	// on the device; they must be withdrawn.
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	cur, err := srv.eng.NewSession().Stream(ctx, descQuery, pathdb.QueryOptions{Strategy: pathdb.Schedule})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	if !cur.Next() {
+		t.Fatalf("stream ended before its first node: %v", cur.Err())
+	}
+	<-ctx.Done()
+	n := 1
+	for cur.Next() {
+		n++
+	}
+	if err := cur.Err(); !errors.Is(err, pathdb.ErrTimeout) {
+		t.Fatalf("stream parked past its deadline: %d nodes, err %v, want ErrTimeout", n, err)
+	}
+	if w := srv.eng.CostLedger().AsyncWithdrawn; w == 0 {
+		t.Fatal("async_withdrawn = 0: timed-out query's prefetches were not withdrawn")
 	}
 }
 

@@ -3,7 +3,9 @@ package shard
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
+	"time"
 
 	"pathdb"
 )
@@ -210,4 +212,80 @@ func TestStreamQuorumAndPolicyAll(t *testing.T) {
 	if k := pathdb.KindOf(err); k != pathdb.KindIO && k != pathdb.KindCorrupt {
 		t.Fatalf("PolicyAll stream error classifies as %v, want a storage kind", k)
 	}
+}
+
+// Two concurrent streams with many matches each hold a parked producer on
+// every shard while their merges wait on each other's shards. With two
+// workers per shard engine and a pool that holds each shard, both must
+// complete: a shard starts the second stream's query beside the first's
+// parked one instead of queueing it behind it.
+func TestConcurrentStreamsComplete(t *testing.T) {
+	cl := newTestCluster(t, Config{Engine: pathdb.EngineConfig{Parallel: 2}})
+	const path = "/site//description"
+	want := mustQuery(t, cl, path, false).Count
+	if want <= 4*64 {
+		t.Fatalf("%s has %d matches; the test needs more than the shards' sinks hold", path, want)
+	}
+	// Deterministic shape first: A's producers are parked on every shard
+	// when B opens, and B must drain before A reads on.
+	a, err := cl.Stream(context.Background(), path, pathdb.QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if !a.Next() {
+		t.Fatalf("stream A: no first node (%v)", a.Err())
+	}
+	counts, errs := concurrentStreams(t, cl, path, 1)
+	if errs[0] != nil || counts[0] != want {
+		t.Fatalf("stream B beside parked A: %d nodes (%v), want %d", counts[0], errs[0], want)
+	}
+	if got := len(drainStream(t, a)) + 1; got != want {
+		t.Fatalf("stream A: %d nodes, want %d", got, want)
+	}
+
+	for round := 0; round < 4; round++ {
+		counts, errs := concurrentStreams(t, cl, path, 2)
+		for i := range counts {
+			if errs[i] != nil {
+				t.Fatalf("round %d stream %d: %v", round, i, errs[i])
+			}
+			if counts[i] != want {
+				t.Errorf("round %d stream %d merged %d nodes, want %d", round, i, counts[i], want)
+			}
+		}
+	}
+}
+
+// concurrentStreams drains n streams of path at once and returns their
+// merged counts and errors, failing the test if they do not finish.
+func concurrentStreams(t *testing.T, cl *Cluster, path string, n int) ([]int, []error) {
+	t.Helper()
+	counts := make([]int, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range counts {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sc, err := cl.Stream(context.Background(), path, pathdb.QueryOptions{})
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			for sc.Next() {
+				counts[i]++
+			}
+			errs[i] = sc.Err()
+			sc.Close()
+		}(i)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("concurrent streams deadlocked")
+	}
+	return counts, errs
 }

@@ -20,9 +20,11 @@
 // chain whose final page write is the single fsync-equivalent for every
 // member; all members are acked together when it lands. There is no
 // flusher goroutine: the first committer to reach the pipeline becomes
-// the *leader*, waits one batching window for stragglers while they
-// stage behind it, flushes the whole group, and acks everyone — so the
-// package never leaks goroutines and needs no Close for correctness.
+// the *leader*, yields once so runnable writers can stage behind it,
+// waits at most one batching window while any of them is still staging,
+// flushes the whole group, and acks everyone — so the package never leaks
+// goroutines and needs no Close for correctness. A lone writer never
+// waits for the window.
 // With a single sequential writer every group has one member (mean
 // flushes per commit = 1); with two or more concurrent writers groups
 // grow and the mean drops below one, which /metrics and BENCH_xload
@@ -38,6 +40,7 @@ package txn
 
 import (
 	"errors"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -54,12 +57,14 @@ var ErrClosed = errors.New("txn: manager closed")
 
 // Options configures a Manager.
 type Options struct {
-	// GroupWindow is how long a commit leader waits for concurrent
+	// GroupWindow bounds how long a commit leader waits for concurrent
 	// committers to join its group before flushing (wall clock; the
 	// virtual cost of the flush itself is the log chain's page writes).
-	// Every commit pays at most one window of ack latency; in exchange
-	// commits arriving within a window share one flush. Default 500µs;
-	// negative disables batching (flush immediately, groups of one).
+	// The leader waits only while another writer is still staging, so a
+	// lone commit pays none of it and every commit at most one window of
+	// ack latency; in exchange commits staged together share one flush.
+	// Default 500µs; negative disables batching (flush immediately,
+	// groups of one).
 	GroupWindow time.Duration
 	// CheckpointEvery folds the version map into a fresh checkpoint after
 	// this many groups, bounding recovery's redo scan and recycling log
@@ -134,7 +139,10 @@ type Manager struct {
 	pinMu sync.Mutex
 	pins  map[uint64]int
 
-	// The commit pipeline: pending members and the leader gate.
+	// The commit pipeline: pending members and the leader gate. staged
+	// counts writers between UpdateEpoch entry and their enqueue (or
+	// early return): the stragglers a leader may wait for.
+	staged  atomic.Int64
 	qmu     sync.Mutex
 	pending []*commitReq
 	flushMu sync.Mutex
@@ -299,6 +307,13 @@ func (m *Manager) UpdateEpoch(fn func(*Tx) error) (uint64, error) {
 	}
 	led := stats.NewLedger()
 
+	m.staged.Add(1)
+	enqueued := false
+	defer func() {
+		if !enqueued {
+			m.staged.Add(-1)
+		}
+	}()
 	m.staging.Lock()
 	if m.closed.Load() {
 		m.staging.Unlock()
@@ -333,6 +348,8 @@ func (m *Manager) UpdateEpoch(fn func(*Tx) error) (uint64, error) {
 	m.qmu.Lock()
 	m.pending = append(m.pending, req)
 	m.qmu.Unlock()
+	m.staged.Add(-1)
+	enqueued = true
 	m.staging.Unlock()
 	m.st.Ledger().Merge(led.Snapshot())
 
@@ -462,14 +479,18 @@ func (m *Manager) flush(req *commitReq) {
 		return
 	default:
 	}
-	// Leader: wait one batching window so concurrent committers can stage
-	// and join the group. The wait is unconditional (a group-commit
-	// timer): on a busy system it is what creates the pile-up — on a
-	// single-core box concurrent writers only get scheduled while the
-	// leader blocks, so gating the wait on observed concurrency would
-	// never batch exactly when batching matters.
+	// Leader: let concurrent committers stage and join the group. Yield
+	// once first — on a single core a runnable writer is scheduled only
+	// while the leader gives up the processor, so without the yield the
+	// staging count below would read zero exactly when batching matters.
+	// Then wait the batching window only if a writer is still staging: a
+	// lone commit flushes at once, and a sleep that wakes late on a busy
+	// machine is paid only when there is a straggler to wait for.
 	if m.opts.GroupWindow > 0 {
-		time.Sleep(m.opts.GroupWindow)
+		runtime.Gosched()
+		if m.staged.Load() > 0 {
+			time.Sleep(m.opts.GroupWindow)
+		}
 	}
 	m.qmu.Lock()
 	batch := m.pending

@@ -3,6 +3,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -183,8 +184,19 @@ func TestUpdateAfterClose(t *testing.T) {
 }
 
 // TestGroupCommitBatching drives concurrent writers and requires commits to
-// share log flushes: mean flushes per commit strictly below one.
+// share log flushes: mean flushes per commit strictly below one. It runs on
+// one processor as well, where a writer is scheduled only when the leader
+// yields, and on every processor the machine has.
 func TestGroupCommitBatching(t *testing.T) {
+	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			testGroupCommitBatching(t)
+		})
+	}
+}
+
+func testGroupCommitBatching(t *testing.T) {
 	st, dict, root := fixture(t, 1024)
 	m, err := NewManager(st, Options{GroupWindow: 2 * time.Millisecond})
 	if err != nil {
@@ -226,6 +238,30 @@ func TestGroupCommitBatching(t *testing.T) {
 	}
 	if got := countIns(m, ins); got != writers*perWriter {
 		t.Fatalf("ins = %d, want %d", got, writers*perWriter)
+	}
+}
+
+// TestLoneCommitSkipsWindow: with no other writer staging, the leader
+// flushes at once instead of sleeping out the group window.
+func TestLoneCommitSkipsWindow(t *testing.T) {
+	st, dict, root := fixture(t, 1024)
+	const window = 200 * time.Millisecond
+	m, err := NewManager(st, Options{GroupWindow: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := dict.Intern("ins")
+	for i := 0; i < 3; i++ {
+		t0 := time.Now()
+		if err := commitOne(m, root, ins, i); err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(t0); d >= window/4 {
+			t.Fatalf("lone commit %d took %v, want well inside the %v window", i, d, window)
+		}
+	}
+	if mt := m.Metrics(); mt.Commits != 3 || mt.Groups != 3 {
+		t.Fatalf("commits=%d groups=%d, want 3 and 3", mt.Commits, mt.Groups)
 	}
 }
 

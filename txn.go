@@ -28,11 +28,12 @@ func (db *DB) CheckFragment(fragment string) error {
 // TxnOptions tunes the MVCC transaction subsystem that backs DB.Update.
 // Zero values select the defaults documented on each field.
 type TxnOptions struct {
-	// GroupWindow is the group-commit window: how long a commit leader
-	// waits for more commits to join its WAL flush. Every commit pays at
-	// most one window of acknowledgement latency; in exchange commits
-	// arriving within a window share one flush. Default 500µs; negative
-	// disables batching (one flush per commit).
+	// GroupWindow is the group-commit window: the longest a commit leader
+	// waits for more commits to join its WAL flush. The leader waits only
+	// while another writer is still staging, so a lone commit flushes at
+	// once and every commit pays at most one window of acknowledgement
+	// latency; in exchange commits staged together share one flush.
+	// Default 500µs; negative disables batching (one flush per commit).
 	GroupWindow time.Duration
 	// CheckpointEvery folds the version map into a fresh checkpoint after
 	// this many flushed groups, truncating the log (default 64).
