@@ -26,7 +26,7 @@ bench: bench-load
 # Closed-loop load-generator snapshot: writes BENCH_xload.json at the
 # repo root with wall+virtual throughput, tail latencies, the engine's
 # admission/dispatch counters, and — with the mixed workload below —
-# commit latency and WAL flushes per commit (group-commit batching).
+# commit latency and log flushes per commit (group-commit batching).
 # -stream is the default delivery mode: the heavy-tailed mix is replayed
 # through cursors, and a dedicated uncontended pass after the closed
 # loop records time-to-first-result percentiles alongside the same
@@ -96,8 +96,11 @@ fmt:
 api-check:
 	$(GO) run ./cmd/apigate
 
-# Transaction subsystem: WAL/group-commit/recovery unit tests and the
-# seeded crash matrix (internal/txn), the group-commit timing tests
+# Transaction subsystem, the one write path: commit/abort/snapshot,
+# group-commit and recovery unit tests and the crash matrix (single
+# inserts, deletes mixed with page-splitting multi-page inserts, and
+# recovery itself crashed at every write) in internal/txn, the
+# group-commit timing tests
 # repeated 20 times (batching at GOMAXPROCS 1 and above, and a lone
 # commit that must not wait out the window), the facade's mixed
 # read/write gauntlet (snapshot isolation + goroutine-leak check), and
@@ -119,21 +122,22 @@ test-shard:
 # device schedule itself (vdisk), retry/poison fanout (buffer),
 # checksum escalation (storage), per-query gang isolation at 1%/5%/20%
 # read-fault rates (engine), the typed facade (pathdb), the HTTP
-# mapping (server), and the randomized WAL crash-point recovery sweep.
+# mapping (server), and the crash-point recovery sweep over the
+# transaction log (txn).
 test-faults:
 	$(GO) test -race -run 'Fault|Corrupt|Retry|Poison|Crash' \
 		./internal/vdisk/ ./internal/buffer/ ./internal/storage/ \
-		./internal/engine/ ./internal/server/ .
+		./internal/engine/ ./internal/server/ ./internal/txn/ .
 
 # Short fuzz pass over every parser that consumes untrusted or
-# pre-checksum bytes: the XML scanner, the XPath parser, and the WAL
-# header decoder on the recovery path. `go test -fuzz` takes one
-# target per invocation, hence the three runs.
+# recovery-path bytes: the XML scanner, the XPath parser, and the
+# transaction log's checkpoint and commit-group decoders. `go test
+# -fuzz` takes one target per invocation, hence the three runs.
 fuzz-short: FUZZTIME ?= 10s
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/xmlparse/
 	$(GO) test -run '^$$' -fuzz FuzzParsePath -fuzztime $(FUZZTIME) ./internal/xpath/
-	$(GO) test -run '^$$' -fuzz FuzzDecodeWalHeader -fuzztime $(FUZZTIME) ./internal/storage/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeTxnLog -fuzztime $(FUZZTIME) ./internal/storage/
 
 # Machine-readable benchmark snapshot (BENCH_*.json) for tracking the
 # performance trajectory across commits. Slow: full evaluation.

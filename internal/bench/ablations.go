@@ -7,6 +7,7 @@ import (
 	"pathdb/internal/core"
 	"pathdb/internal/stats"
 	"pathdb/internal/storage"
+	"pathdb/internal/txn"
 	"pathdb/internal/vdisk"
 	"pathdb/internal/xmltree"
 	"pathdb/internal/xpath"
@@ -243,7 +244,11 @@ func (w *Workload) AblationFirstStepAll(sf float64) []AblationRow {
 // Q6' under every strategy on the freshly loaded document, then again
 // after a batch of item insertions whose overflow clusters land at the
 // end of the volume (the fragmentation story of the paper's
-// introduction, now produced by the engine's own update path).
+// introduction, now produced by the engine's own update path). Each insert
+// commits as its own transaction through internal/txn, whose
+// copy-on-write relocations fragment the volume further. The workload's
+// store at sf is adopted by the manager, so call this at most once per
+// scale factor.
 func (w *Workload) AblationUpdates(sf float64, inserts int) []AblationRow {
 	st, dict := w.Store(sf)
 	steps := xpath.MustParse(dict, Q6.Paths[0]).Simplify().Steps
@@ -273,6 +278,10 @@ func (w *Workload) AblationUpdates(sf float64, inserts int) []AblationRow {
 	if len(africa) == 0 {
 		panic("bench: no africa region")
 	}
+	mgr, err := txn.NewManager(st, txn.Options{})
+	if err != nil {
+		panic(fmt.Sprintf("bench: adopt volume: %v", err))
+	}
 	for i := 0; i < inserts; i++ {
 		b := xmltree.NewBuilder(dict)
 		b.Begin("item").Attr("id", fmt.Sprintf("upd%d", i)).
@@ -282,7 +291,11 @@ func (w *Workload) AblationUpdates(sf float64, inserts int) []AblationRow {
 			Begin("description").Begin("text").Text("inserted after load").End().End().
 			End()
 		frag := b.Doc().Children[0]
-		if _, err := st.InsertSubtree(africa[0].Node, storage.InvalidNodeID, frag); err != nil {
+		err := mgr.Update(func(tx *txn.Tx) error {
+			_, err := tx.InsertSubtree(africa[0].Node, storage.InvalidNodeID, frag)
+			return err
+		})
+		if err != nil {
 			panic(fmt.Sprintf("bench: insert %d: %v", i, err))
 		}
 	}

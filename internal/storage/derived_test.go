@@ -72,7 +72,7 @@ func TestDerivedCacheBounded(t *testing.T) {
 // TestStoreDerivedViews checks the Store wiring: views share the base
 // store's cache, and a write transaction's overlay view opts out.
 func TestStoreDerivedViews(t *testing.T) {
-	s := newStore(newDisk(4096), nil, []NodeID{0}, 1, 0, nil)
+	s := newStore(newDisk(4096), nil, []NodeID{0}, 1, 0)
 	base, epoch, ok := s.Derived()
 	if !ok || base == nil {
 		t.Fatal("base store has no derived cache")

@@ -266,7 +266,7 @@ func ImportCollection(disk *vdisk.Disk, dict *xmltree.Dictionary, docs []*xmltre
 	disk.Ledger().Reset()
 	disk.ResetClockState()
 
-	return newStore(disk, dict, roots, firstData, uint32(n), nil), nil
+	return newStore(disk, dict, roots, firstData, uint32(n)), nil
 }
 
 // The partitioner streams the document in DFS order into a single active

@@ -76,7 +76,7 @@ func ImportManual(disk *vdisk.Disk, dict *xmltree.Dictionary, doc *xmltree.Node,
 	})
 	disk.Ledger().Reset()
 	disk.ResetClockState()
-	return newStore(disk, dict, []NodeID{rootID}, firstData, uint32(n), nil), nil
+	return newStore(disk, dict, []NodeID{rootID}, firstData, uint32(n)), nil
 }
 
 type manualImporter struct {

@@ -22,8 +22,9 @@ import (
 // by *views*: Reader returns a shallow Store sharing every cache with the
 // base but charging to its own ledger and routing async cluster requests
 // through its own buffer waiter — the unit the parallel engine hands each
-// query. Mutating entry points (updates, SetBufferCapacity, ResetForRun)
-// remain base-store, single-writer operations.
+// query. Writes stage on a WriteTxn (BeginWrite) and commit through
+// internal/txn; SetBufferCapacity and ResetForRun remain base-store,
+// single-caller operations.
 type Store struct {
 	disk  *vdisk.Disk
 	buf   *buffer.Manager
@@ -35,7 +36,6 @@ type Store struct {
 	roots     []NodeID // collection document roots (first == rootID)
 	firstData uint32
 	nData     uint32
-	extras    []vdisk.PageID // data pages appended by updates
 
 	cache   *swizCache     // decoded page images, shared across views
 	syn     *synTable      // per-cluster synopses, shared across views
@@ -58,7 +58,7 @@ type Store struct {
 // paper's setup used a 1000-page buffer.
 const DefaultBufferPages = 1000
 
-func newStore(disk *vdisk.Disk, dict *xmltree.Dictionary, roots []NodeID, firstData, nData uint32, extras []vdisk.PageID) *Store {
+func newStore(disk *vdisk.Disk, dict *xmltree.Dictionary, roots []NodeID, firstData, nData uint32) *Store {
 	s := &Store{
 		disk:      disk,
 		buf:       buffer.New(disk, DefaultBufferPages),
@@ -69,7 +69,6 @@ func newStore(disk *vdisk.Disk, dict *xmltree.Dictionary, roots []NodeID, firstD
 		roots:     roots,
 		firstData: firstData,
 		nData:     nData,
-		extras:    extras,
 		cache:     newSwizCache(),
 		syn:       newSynTable(),
 		derived:   newDerivedCache(),
@@ -107,7 +106,8 @@ func (s *Store) Reader(led *stats.Ledger) *Store {
 
 // version returns the VersionMap this view resolves through: its pinned
 // snapshot if it has one, else the latest published version, else nil
-// (identity — fresh and legacy volumes).
+// (identity — a volume no txn manager has adopted yet, hence never
+// written since import).
 func (s *Store) version() *VersionMap {
 	if s.pinned != nil {
 		return s.pinned
@@ -154,12 +154,13 @@ func (s *Store) WrittenSince(since uint64, fn func(p vdisk.PageID, epoch uint64)
 	}
 }
 
-// extrasList returns the extension-page directory of this view's version.
+// extrasList returns the extension-page directory of this view's version
+// (none before adoption: only commits append extension pages).
 func (s *Store) extrasList() []vdisk.PageID {
 	if vm := s.version(); vm != nil {
 		return vm.Extras()
 	}
-	return s.extras
+	return nil
 }
 
 // WithSnapshot returns a read view pinned to version vm: every logical
@@ -508,42 +509,34 @@ func (s *Store) StringValue(id NodeID) string {
 
 const metaMagic = "PATHDB1\x00"
 
+// metaInfo is the meta page (page 0). The extension-page directory is not
+// here: commits append extension pages, so it lives in the transaction
+// state (checkpoint and redo log) that ckptPage roots.
 type metaInfo struct {
 	roots     []NodeID // collection document roots
 	firstData uint32
 	nData     uint32
 	dictStart uint32
 	dictCount uint32
-	walPage   vdisk.PageID   // committed-but-unapplied WAL header (0 = none)
-	extras    []vdisk.PageID // update-extension pages, in scan order
-	ckptPage  vdisk.PageID   // transaction checkpoint chain head (0 = none)
+	ckptPage  vdisk.PageID // transaction checkpoint chain head (0 = none)
 }
 
 func writeMeta(disk *vdisk.Disk, page vdisk.PageID, m metaInfo) {
-	buf := make([]byte, 8+4*5+4+4*len(m.extras)+4+8*len(m.roots)+4)
+	buf := make([]byte, 8+4*5+4+8*len(m.roots))
 	copy(buf, metaMagic)
 	binary.LittleEndian.PutUint32(buf[8:], m.firstData)
 	binary.LittleEndian.PutUint32(buf[12:], m.nData)
 	binary.LittleEndian.PutUint32(buf[16:], m.dictStart)
 	binary.LittleEndian.PutUint32(buf[20:], m.dictCount)
-	binary.LittleEndian.PutUint32(buf[24:], uint32(m.walPage))
-	binary.LittleEndian.PutUint32(buf[28:], uint32(len(m.extras)))
+	binary.LittleEndian.PutUint32(buf[24:], uint32(m.ckptPage))
+	binary.LittleEndian.PutUint32(buf[28:], uint32(len(m.roots)))
 	off := 32
-	for _, p := range m.extras {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(p))
-		off += 4
-	}
-	binary.LittleEndian.PutUint32(buf[off:], uint32(len(m.roots)))
-	off += 4
 	for _, r := range m.roots {
 		binary.LittleEndian.PutUint64(buf[off:], uint64(r))
 		off += 8
 	}
-	// Trailing fields (added after v0 volumes; zero-padding makes their
-	// absence read back as zero): the checkpoint chain head.
-	binary.LittleEndian.PutUint32(buf[off:], uint32(m.ckptPage))
 	if len(buf) > usable(disk.PageSize()) {
-		panic("storage: meta page overflow (too many extension pages or roots)")
+		panic("storage: meta page overflow (too many roots)")
 	}
 	writePage(disk, page, buf)
 }
@@ -561,22 +554,14 @@ func readMeta(disk *vdisk.Disk) (metaInfo, error) {
 		nData:     binary.LittleEndian.Uint32(buf[12:]),
 		dictStart: binary.LittleEndian.Uint32(buf[16:]),
 		dictCount: binary.LittleEndian.Uint32(buf[20:]),
-		walPage:   vdisk.PageID(binary.LittleEndian.Uint32(buf[24:])),
+		ckptPage:  vdisk.PageID(binary.LittleEndian.Uint32(buf[24:])),
 	}
-	nExtra := binary.LittleEndian.Uint32(buf[28:])
-	off := 32
-	for i := uint32(0); i < nExtra; i++ {
-		m.extras = append(m.extras, vdisk.PageID(binary.LittleEndian.Uint32(buf[off:])))
-		off += 4
+	nRoots := binary.LittleEndian.Uint32(buf[28:])
+	if 32+8*int(nRoots) > usable(len(buf)) {
+		return metaInfo{}, errors.New("storage: meta page root count overflows the page")
 	}
-	nRoots := binary.LittleEndian.Uint32(buf[off:])
-	off += 4
-	for i := uint32(0); i < nRoots; i++ {
-		m.roots = append(m.roots, NodeID(binary.LittleEndian.Uint64(buf[off:])))
-		off += 8
-	}
-	if off+4 <= len(buf) {
-		m.ckptPage = vdisk.PageID(binary.LittleEndian.Uint32(buf[off:]))
+	for i := 0; i < int(nRoots); i++ {
+		m.roots = append(m.roots, NodeID(binary.LittleEndian.Uint64(buf[32+8*i:])))
 	}
 	if len(m.roots) == 0 {
 		return metaInfo{}, errors.New("storage: volume has no document roots")
@@ -634,17 +619,15 @@ func readDictionary(disk *vdisk.Disk, start, count uint32) (*xmltree.Dictionary,
 }
 
 // Open attaches to a previously imported volume, reconstructing the
-// dictionary from disk and replaying any committed-but-unapplied update
-// transaction (crash recovery): first the legacy single-writer WAL, then
-// the transactional redo log (checkpoint + commit-group chains), whose
-// folded state is persisted as a fresh checkpoint and published as the
-// volume's current version. The ledger is reset afterwards.
+// dictionary from disk and recovering the committed transactions (crash
+// recovery): the redo sweep over the checkpoint and commit-group chains
+// (txnlog.go) yields the folded state, which is persisted as a fresh
+// checkpoint and published as the volume's current version. A volume no
+// txn manager has written opens as imported. The ledger is reset
+// afterwards.
 func Open(disk *vdisk.Disk) (*Store, error) {
 	m, err := readMeta(disk)
 	if err != nil {
-		return nil, err
-	}
-	if err := recoverWAL(disk, &m); err != nil {
 		return nil, err
 	}
 	st, err := recoverTxn(disk, &m)
@@ -655,7 +638,7 @@ func Open(disk *vdisk.Disk) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := newStore(disk, dict, m.roots, m.firstData, m.nData, m.extras)
+	s := newStore(disk, dict, m.roots, m.firstData, m.nData)
 	if st != nil {
 		// Fold the replayed groups into a fresh checkpoint so the next
 		// crash recovers from here, and publish the recovered version.

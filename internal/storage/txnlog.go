@@ -11,7 +11,7 @@ import (
 // Durable state for the transaction subsystem (internal/txn): a chained
 // checkpoint record plus a forward-linked redo log of commit groups.
 //
-// Layout. The meta page gains one trailing field, the checkpoint head. A
+// Layout. The meta page points at the checkpoint head. A
 // checkpoint is the folded transaction state (epoch, relocation table,
 // extension directory, free list) serialized across a chain of pages; the
 // last chain page's next pointer is the *log head* — a page preallocated
@@ -200,6 +200,9 @@ func encodeTxnState(st *TxnState) []byte {
 	return buf
 }
 
+// decodeTxnState parses a checkpoint payload. It accepts only the
+// encoder's canonical form — relocations in strictly ascending logical
+// order, no trailing bytes — so an accepted payload re-encodes to itself.
 func decodeTxnState(raw []byte) (*TxnState, error) {
 	d := struct {
 		b   []byte
@@ -214,6 +217,7 @@ func decodeTxnState(raw []byte) (*TxnState, error) {
 		return v, nil
 	}
 	st := &TxnState{Map: map[vdisk.PageID]vdisk.PageID{}}
+	var prev vdisk.PageID
 	n, err := u32()
 	if err != nil {
 		return nil, err
@@ -227,6 +231,10 @@ func decodeTxnState(raw []byte) (*TxnState, error) {
 		if err != nil {
 			return nil, err
 		}
+		if i > 0 && vdisk.PageID(l) <= prev {
+			return nil, fmt.Errorf("storage: checkpoint relocations out of order at page %d", l)
+		}
+		prev = vdisk.PageID(l)
 		st.Map[vdisk.PageID(l)] = vdisk.PageID(p)
 	}
 	n, err = u32()
@@ -250,6 +258,9 @@ func decodeTxnState(raw []byte) (*TxnState, error) {
 			return nil, err
 		}
 		st.Free = append(st.Free, vdisk.PageID(p))
+	}
+	if d.off != len(raw) {
+		return nil, fmt.Errorf("storage: %d trailing bytes after checkpoint payload", len(raw)-d.off)
 	}
 	return st, nil
 }
@@ -294,6 +305,9 @@ func encodeGroupRecord(g GroupRecord) []byte {
 	return buf
 }
 
+// decodeGroupRecord parses a commit-group payload; ok is false unless raw
+// is exactly one encoded record (so an accepted payload re-encodes to
+// itself).
 func decodeGroupRecord(epoch uint64, raw []byte) (GroupRecord, bool) {
 	g := GroupRecord{Epoch: epoch}
 	off := 0
@@ -341,7 +355,7 @@ func decodeGroupRecord(epoch uint64, raw []byte) (GroupRecord, bool) {
 		}
 		g.Freed = append(g.Freed, vdisk.PageID(p))
 	}
-	return g, true
+	return g, off == len(raw)
 }
 
 // AppendGroup writes one commit group's chain at head (the preallocated
@@ -371,18 +385,14 @@ func (s *Store) WriteCheckpoint(st TxnState, alloc PageAlloc) (chain []vdisk.Pag
 }
 
 // InitTxn adopts a volume that has no transaction state yet: it persists
-// the initial checkpoint (epoch 0, identity map, the current extension
-// directory) and publishes the initial version, switching the volume into
-// transactional mode (the legacy single-writer update path refuses to run
-// from then on). Idempotent: an already-adopted volume returns its state.
+// the initial checkpoint (epoch 0, identity map, no extension pages) and
+// publishes the initial version, from which every commit builds its
+// successor. Idempotent: an already-adopted volume returns its state.
 func (s *Store) InitTxn() (*TxnState, error) {
 	if s.vh.state != nil {
 		return s.vh.state, nil
 	}
-	st := &TxnState{
-		Map:    map[vdisk.PageID]vdisk.PageID{},
-		Extras: append([]vdisk.PageID(nil), s.extras...),
-	}
+	st := &TxnState{Map: map[vdisk.PageID]vdisk.PageID{}}
 	chain, next, err := s.WriteCheckpoint(*st, s.disk.Alloc)
 	if err != nil {
 		return nil, err

@@ -1,4 +1,4 @@
-package storage
+package storage_test
 
 import (
 	"fmt"
@@ -7,9 +7,41 @@ import (
 	"testing/quick"
 
 	"pathdb/internal/rng"
+	. "pathdb/internal/storage"
+	"pathdb/internal/txn"
 	"pathdb/internal/xmltree"
 	"pathdb/internal/xpath"
 )
+
+// The update tests commit every mutation through a txn.Manager, the one
+// write path: staging on a WriteTxn, copy-on-write relocation, publication
+// and the group-commit log.
+
+// adopt puts st under a transaction manager.
+func adopt(t testing.TB, st *Store) *txn.Manager {
+	t.Helper()
+	m, err := txn.NewManager(st, txn.Options{})
+	if err != nil {
+		t.Fatalf("NewManager: %v", err)
+	}
+	return m
+}
+
+// insert commits one insert transaction and returns the new node's id.
+func insert(m *txn.Manager, parent, before NodeID, frag *xmltree.Node) (NodeID, error) {
+	id := InvalidNodeID
+	err := m.Update(func(tx *txn.Tx) error {
+		var err error
+		id, err = tx.InsertSubtree(parent, before, frag)
+		return err
+	})
+	return id, err
+}
+
+// deleteSubtree commits one delete transaction.
+func deleteSubtree(m *txn.Manager, id NodeID) error {
+	return m.Update(func(tx *txn.Tx) error { return tx.DeleteSubtree(id) })
+}
 
 // insertAtShadow mirrors an InsertSubtree call on the logical shadow tree.
 func insertAtShadow(parent *xmltree.Node, before *xmltree.Node, frag *xmltree.Node) {
@@ -57,7 +89,8 @@ func TestInsertAppendSimple(t *testing.T) {
 	b.Begin("a").Leaf("b", "one").End()
 	doc := b.Doc()
 	shadow := cloneTree(doc)
-	st := importDoc(t, doc, dict, 8192, LayoutContiguous)
+	st := ImportDoc(t, doc, dict, 8192, LayoutContiguous)
+	m := adopt(t, st)
 
 	// Find <a>.
 	rootCur := st.Swizzle(st.Root())
@@ -66,7 +99,7 @@ func TestInsertAppendSimple(t *testing.T) {
 
 	frag := xmltree.NewElement(dict.Intern("c"))
 	frag.AppendChild(xmltree.NewText("two"))
-	id, err := st.InsertSubtree(a.ID(), InvalidNodeID, frag)
+	id, err := insert(m, a.ID(), InvalidNodeID, frag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +117,8 @@ func TestInsertBeforeKeepsOrder(t *testing.T) {
 	b := xmltree.NewBuilder(dict)
 	b.Begin("a").Leaf("x", "1").Leaf("x", "3").End()
 	doc := b.Doc()
-	st := importDoc(t, doc, dict, 8192, LayoutContiguous)
+	st := ImportDoc(t, doc, dict, 8192, LayoutContiguous)
+	m := adopt(t, st)
 
 	rootCur := st.Swizzle(st.Root())
 	it := st.Step(rootCur, xpath.Child, xpath.Wildcard())
@@ -105,7 +139,7 @@ func TestInsertBeforeKeepsOrder(t *testing.T) {
 
 	frag := xmltree.NewElement(dict.Intern("x"))
 	frag.AppendChild(xmltree.NewText("2"))
-	if _, err := st.InsertSubtree(a.ID(), kids[1].ID(), frag); err != nil {
+	if _, err := insert(m, a.ID(), kids[1].ID(), frag); err != nil {
 		t.Fatal(err)
 	}
 	got := st.Export()
@@ -129,7 +163,8 @@ func TestDeleteSubtree(t *testing.T) {
 		Leaf("d", "keep").
 		End()
 	doc := b.Doc()
-	st := importDoc(t, doc, dict, 8192, LayoutContiguous)
+	st := ImportDoc(t, doc, dict, 8192, LayoutContiguous)
+	m := adopt(t, st)
 
 	rootCur := st.Swizzle(st.Root())
 	it := st.Step(rootCur, xpath.Descendant, xpath.NameTest(dict.Intern("b")))
@@ -137,7 +172,7 @@ func TestDeleteSubtree(t *testing.T) {
 	if !ok {
 		t.Fatal("b not found")
 	}
-	if err := st.DeleteSubtree(bNode.ID()); err != nil {
+	if err := deleteSubtree(m, bNode.ID()); err != nil {
 		t.Fatal(err)
 	}
 	got := st.Export()
@@ -153,11 +188,12 @@ func TestDeleteGuards(t *testing.T) {
 	dict := xmltree.NewDictionary()
 	b := xmltree.NewBuilder(dict)
 	b.Begin("a").End()
-	st := importDoc(t, b.Doc(), dict, 8192, LayoutContiguous)
-	if err := st.DeleteSubtree(st.Root()); err == nil {
+	st := ImportDoc(t, b.Doc(), dict, 8192, LayoutContiguous)
+	m := adopt(t, st)
+	if err := deleteSubtree(m, st.Root()); err == nil {
 		t.Fatal("deleted document node")
 	}
-	if _, err := st.InsertSubtree(st.Root().WithAttr(0), InvalidNodeID, xmltree.NewText("x")); err == nil {
+	if _, err := insert(m, st.Root().WithAttr(0), InvalidNodeID, xmltree.NewText("x")); err == nil {
 		t.Fatal("inserted under an attribute")
 	}
 }
@@ -171,7 +207,8 @@ func TestInsertOverflowsToFreshPages(t *testing.T) {
 	}
 	b.End()
 	doc := b.Doc()
-	st := importDoc(t, doc, dict, 512, LayoutContiguous)
+	st := ImportDoc(t, doc, dict, 512, LayoutContiguous)
+	m := adopt(t, st)
 	before := st.NumDataPages()
 
 	rootCur := st.Swizzle(st.Root())
@@ -186,7 +223,7 @@ func TestInsertOverflowsToFreshPages(t *testing.T) {
 		e.AppendChild(xmltree.NewText(strings.Repeat("z", 20)))
 		frag.AppendChild(e)
 	}
-	if _, err := st.InsertSubtree(aID, InvalidNodeID, cloneTree(frag)); err != nil {
+	if _, err := insert(m, aID, InvalidNodeID, cloneTree(frag)); err != nil {
 		t.Fatal(err)
 	}
 	if st.NumDataPages() <= before {
@@ -203,11 +240,12 @@ func TestUpdatesPersistAcrossOpen(t *testing.T) {
 	b := xmltree.NewBuilder(dict)
 	b.Begin("a").Leaf("b", "1").End()
 	doc := b.Doc()
-	disk := newDisk(512)
+	disk := NewDisk(512)
 	st, err := Import(disk, dict, doc, ImportOptions{PageSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := adopt(t, st)
 	rootCur := st.Swizzle(st.Root())
 	it := st.Step(rootCur, xpath.Child, xpath.Wildcard())
 	a, _ := it.Next()
@@ -215,7 +253,7 @@ func TestUpdatesPersistAcrossOpen(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		frag.AppendChild(xmltree.NewText(strings.Repeat("q", 30)))
 	}
-	if _, err := st.InsertSubtree(a.ID(), InvalidNodeID, frag); err != nil {
+	if _, err := insert(m, a.ID(), InvalidNodeID, frag); err != nil {
 		t.Fatal(err)
 	}
 	want := st.Export()
@@ -238,9 +276,10 @@ func TestUpdatesPersistAcrossOpen(t *testing.T) {
 func TestRandomUpdateSequence(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
-		dict, doc := buildTree(seed^0xDEAD, 60)
+		dict, doc := BuildTree(seed^0xDEAD, 60)
 		shadow := cloneTree(doc)
-		st := importDoc(t, doc, dict, 512, LayoutShuffled)
+		st := ImportDoc(t, doc, dict, 512, LayoutShuffled)
+		m := adopt(t, st)
 		tags := []xmltree.TagID{dict.Intern("a"), dict.Intern("b"), dict.Intern("n1"), dict.Intern("n2")}
 
 		// liveNodes pairs logical shadow nodes with stored NodeIDs by a
@@ -257,10 +296,9 @@ func TestRandomUpdateSequence(t *testing.T) {
 				var storedKids []Cursor
 				var gather func(cc Cursor)
 				gather = func(cc Cursor) {
-					for _, slot := range cc.rec().children {
-						ch := Cursor{st: st, img: cc.img, page: cc.page, slot: slot, attr: -1}
-						if ch.rec().kind == RecProxyChild {
-							gather(st.Swizzle(ch.rec().target))
+					for _, ch := range PhysicalChildren(cc) {
+						if ch.RecKind() == RecProxyChild {
+							gather(st.Swizzle(ch.Target()))
 							continue
 						}
 						storedKids = append(storedKids, ch)
@@ -277,12 +315,10 @@ func TestRandomUpdateSequence(t *testing.T) {
 			rootCur := st.Swizzle(st.Root())
 			// Document node.
 			var kids []Cursor
-			for _, slot := range rootCur.rec().children {
-				ch := Cursor{st: st, img: rootCur.img, page: rootCur.page, slot: slot, attr: -1}
-				if ch.rec().kind == RecProxyChild {
-					ch = st.Swizzle(ch.rec().target)
+			for _, ch := range PhysicalChildren(rootCur) {
+				if ch.RecKind() == RecProxyChild {
 					// fragment under anchor: single chain
-					ch = Cursor{st: st, img: ch.img, page: ch.page, slot: ch.rec().children[0], attr: -1}
+					ch = PhysicalChildren(st.Swizzle(ch.Target()))[0]
 				}
 				kids = append(kids, ch)
 			}
@@ -329,7 +365,7 @@ func TestRandomUpdateSequence(t *testing.T) {
 						}
 					}
 				}
-				if _, err := st.InsertSubtree(pk.id, before, cloneTree(frag)); err != nil {
+				if _, err := insert(m, pk.id, before, cloneTree(frag)); err != nil {
 					t.Logf("seed %d insert: %v", seed, err)
 					return false
 				}
@@ -339,7 +375,7 @@ func TestRandomUpdateSequence(t *testing.T) {
 					insertAtShadow(pk.shadow, beforeShadow, cloneTree(frag))
 				}
 			case pk.shadow.Parent != nil && pk.shadow.Parent.Kind != xmltree.Document:
-				if err := st.DeleteSubtree(pk.id); err != nil {
+				if err := deleteSubtree(m, pk.id); err != nil {
 					t.Logf("seed %d delete: %v", seed, err)
 					return false
 				}
@@ -360,9 +396,10 @@ func TestRandomUpdateSequence(t *testing.T) {
 // TestQueriesCorrectAfterUpdates runs all three plan strategies against an
 // updated document and compares with the logical reference.
 func TestQueriesCorrectAfterUpdates(t *testing.T) {
-	dict, doc := buildTree(5, 80)
+	dict, doc := BuildTree(5, 80)
 	shadow := cloneTree(doc)
-	st := importDoc(t, doc, dict, 512, LayoutNatural)
+	st := ImportDoc(t, doc, dict, 512, LayoutNatural)
+	m := adopt(t, st)
 
 	// Append a recognisable fragment under the root element.
 	rootCur := st.Swizzle(st.Root())
@@ -374,7 +411,7 @@ func TestQueriesCorrectAfterUpdates(t *testing.T) {
 		e.AppendChild(xmltree.NewText("new"))
 		frag.AppendChild(e)
 	}
-	if _, err := st.InsertSubtree(rootElem.ID(), InvalidNodeID, cloneTree(frag)); err != nil {
+	if _, err := insert(m, rootElem.ID(), InvalidNodeID, cloneTree(frag)); err != nil {
 		t.Fatal(err)
 	}
 	shadow.Children[0].AppendChild(cloneTree(frag))
@@ -390,7 +427,7 @@ func TestQueriesCorrectAfterUpdates(t *testing.T) {
 
 	test := xpath.NameTest(dict.Intern("b"))
 	for _, axis := range []xpath.Axis{xpath.Descendant} {
-		got := len(evalStepFull(st, st.Swizzle(st.Root()), axis, test))
+		got := len(EvalStepFull(st, st.Swizzle(st.Root()), axis, test))
 		if got != want {
 			t.Fatalf("descendant count after update = %d, want %d", got, want)
 		}

@@ -129,8 +129,9 @@ func (vm *VersionMap) Apply(epoch uint64, deltas map[vdisk.PageID]vdisk.PageID, 
 }
 
 // versionHandle shares the latest published version between a base store
-// and every view derived from it. Load returns nil until the volume is
-// adopted into transactional mode (fresh or legacy volumes run identity).
+// and every view derived from it. Load returns nil until a txn manager
+// adopts the volume (until then nothing has been written since import, so
+// every page resolves to itself).
 // It also holds the adopted transaction state, written once by Open or
 // InitTxn: state that changes after views exist must live behind this
 // shared pointer, never in the Store struct that every view copies.

@@ -46,21 +46,27 @@ func catchFault(err *error) {
 	}
 }
 
-// InsertSubtree stages an insert (same contract as Store.InsertSubtree,
-// but deferred until the manager commits the transaction).
+// InsertSubtree stages the logical fragment (an element, text, comment or
+// PI node, with its subtree) as a new child of parent. With before ==
+// InvalidNodeID the fragment is appended after the last child; otherwise
+// it is inserted immediately before that child. It returns the NodeID of
+// the new node, which is logical and so stays valid across the commit.
+// Nothing reaches the device until the txn manager commits.
 func (t *WriteTxn) InsertSubtree(parent NodeID, before NodeID, frag *xmltree.Node) (id NodeID, err error) {
 	defer catchFault(&err)
-	id, err = t.view.insertSubtreeWith(t.u, parent, before, frag)
+	id, err = t.view.stageInsert(t.u, parent, before, frag)
 	if err != nil {
 		return InvalidNodeID, err
 	}
 	return id, t.refreshOverlay()
 }
 
-// DeleteSubtree stages a delete (same contract as Store.DeleteSubtree).
+// DeleteSubtree stages the removal of the node and its entire subtree,
+// across clusters. Deleting the document node or the root element is
+// rejected (ErrIsRoot).
 func (t *WriteTxn) DeleteSubtree(id NodeID) (err error) {
 	defer catchFault(&err)
-	if err := t.view.deleteSubtreeWith(t.u, id); err != nil {
+	if err := t.view.stageDelete(t.u, id); err != nil {
 		return err
 	}
 	return t.refreshOverlay()

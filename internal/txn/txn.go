@@ -247,19 +247,21 @@ func (m *Manager) minPinned() uint64 {
 
 // Tx is one write transaction, valid inside an Update callback.
 type Tx struct {
-	wt  *storage.WriteTxn
-	led *stats.Ledger
+	wt *storage.WriteTxn
 }
 
-// InsertSubtree stages an insert of frag as a child of parent (before
-// `before`, or appended when before == storage.InvalidNodeID). The
-// returned NodeID is logical, hence stable across the commit. Semantics
-// match storage.Store.InsertSubtree.
+// InsertSubtree stages an insert of frag (an element, text, comment or PI
+// node, with its subtree) as a child of parent: immediately before
+// `before`, or appended after the last child when before ==
+// storage.InvalidNodeID. The returned NodeID is logical, hence stable
+// across the commit. See storage.WriteTxn.InsertSubtree.
 func (t *Tx) InsertSubtree(parent, before storage.NodeID, frag *xmltree.Node) (storage.NodeID, error) {
 	return t.wt.InsertSubtree(parent, before, frag)
 }
 
-// DeleteSubtree stages a delete; see storage.Store.DeleteSubtree.
+// DeleteSubtree stages the removal of id and its whole subtree; the
+// document node and the root element cannot be deleted. See
+// storage.WriteTxn.DeleteSubtree.
 func (t *Tx) DeleteSubtree(id storage.NodeID) error {
 	return t.wt.DeleteSubtree(id)
 }
@@ -305,7 +307,6 @@ func (m *Manager) UpdateEpoch(fn func(*Tx) error) (uint64, error) {
 	if m.closed.Load() {
 		return 0, ErrClosed
 	}
-	led := stats.NewLedger()
 
 	m.staged.Add(1)
 	enqueued := false
@@ -319,24 +320,31 @@ func (m *Manager) UpdateEpoch(fn func(*Tx) error) (uint64, error) {
 		m.staging.Unlock()
 		return 0, ErrClosed
 	}
+	// Staging arrives at the device's current instant, as the engine's
+	// queries do: a read that waits on the device advances the staging
+	// clock from there, and only the time past the arrival is this
+	// transaction's to fold into the volume ledger.
+	led := stats.NewLedger()
+	arrival := stats.Ledger{Now: m.st.Disk().Clock()}
+	led.SeedAt(arrival.Now)
 	base := m.cur.Load()
-	tx := &Tx{wt: m.st.BeginWrite(base, led), led: led}
+	tx := &Tx{wt: m.st.BeginWrite(base, led)}
 	if err := fn(tx); err != nil {
 		m.abortLocked(tx)
 		m.staging.Unlock()
-		m.st.Ledger().Merge(led.Snapshot())
+		m.st.Ledger().Merge(led.Sub(arrival))
 		return 0, err
 	}
 	ws, err := tx.wt.WriteSet()
 	if err != nil {
 		m.abortLocked(tx)
 		m.staging.Unlock()
-		m.st.Ledger().Merge(led.Snapshot())
+		m.st.Ledger().Merge(led.Sub(arrival))
 		return 0, err
 	}
 	if len(ws.Images) == 0 { // read-only transaction
 		m.staging.Unlock()
-		m.st.Ledger().Merge(led.Snapshot())
+		m.st.Ledger().Merge(led.Sub(arrival))
 		return base.Epoch(), nil
 	}
 
@@ -351,7 +359,7 @@ func (m *Manager) UpdateEpoch(fn func(*Tx) error) (uint64, error) {
 	m.staged.Add(-1)
 	enqueued = true
 	m.staging.Unlock()
-	m.st.Ledger().Merge(led.Snapshot())
+	m.st.Ledger().Merge(led.Sub(arrival))
 
 	m.flush(req)
 	m.commits.Add(1)

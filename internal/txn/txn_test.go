@@ -66,18 +66,6 @@ func countIns(m *Manager, tag xmltree.TagID) int {
 	return snap.View(stats.NewLedger()).Export().CountTag(tag)
 }
 
-// insTexts returns the text of every <ins> element in document order.
-func insTexts(doc *xmltree.Node, tag xmltree.TagID) []string {
-	var out []string
-	doc.Walk(func(n *xmltree.Node) bool {
-		if n.Kind == xmltree.Element && n.Tag == tag {
-			out = append(out, n.TextContent())
-		}
-		return true
-	})
-	return out
-}
-
 func TestUpdateCommitVisible(t *testing.T) {
 	st, dict, root := fixture(t, 512)
 	m, err := NewManager(st, Options{})
@@ -99,14 +87,39 @@ func TestUpdateCommitVisible(t *testing.T) {
 	}
 }
 
-func TestLegacyUpdateRefusedAfterAdoption(t *testing.T) {
+// TestStagingBillsOwnTime: with a 4-frame pool every commit's staging
+// misses the pool and waits on the device. The volume ledger must grow by
+// the commit's own time — its staging CPU, its waits and its writes —
+// never by the device's absolute instant, which would make the volume
+// clock grow quadratically with the commit count.
+func TestStagingBillsOwnTime(t *testing.T) {
 	st, dict, root := fixture(t, 512)
-	if _, err := NewManager(st, Options{}); err != nil {
+	st.SetBufferCapacity(4)
+	m, err := NewManager(st, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err := st.InsertSubtree(root, storage.InvalidNodeID, insFrag(dict.Intern("ins"), 0))
-	if !errors.Is(err, storage.ErrLegacyUpdate) {
-		t.Fatalf("legacy InsertSubtree on adopted volume: err = %v, want ErrLegacyUpdate", err)
+	ins := dict.Intern("ins")
+	vol, disk := st.Ledger(), st.Disk()
+	misses0 := vol.Snapshot().BufferMisses
+	for i := 0; i < 40; i++ {
+		before, dev := vol.Snapshot(), disk.Clock()
+		if err := commitOne(m, root, ins, i); err != nil {
+			t.Fatal(err)
+		}
+		d := vol.Sub(before)
+		// Waits and writes occupy the device for at least as long as they
+		// advance the volume clock; CPU is billed on top.
+		if own := disk.Clock() - dev + d.CPU; d.Now > own {
+			t.Fatalf("commit %d grew the volume clock by %v, more than its own %v (device at %v)",
+				i, d.Now, own, dev)
+		}
+	}
+	if vol.Snapshot().BufferMisses == misses0 {
+		t.Fatal("no staging read missed the pool; the test exercises nothing")
+	}
+	if got := countIns(m, ins); got != 40 {
+		t.Fatalf("ins = %d, want 40", got)
 	}
 }
 
@@ -331,51 +344,129 @@ func TestConcurrentReadersWriters(t *testing.T) {
 
 // TestCrashRecoveryMatrix arms the write-crash fault at every cut point in
 // a commit sequence, reopens the volume, and checks the durability
-// contract: the recovered document is an exact prefix of commit order that
-// covers at least every hard-acked commit (acked while no write had been
-// dropped yet). The recovered volume must also accept new transactions.
+// contract: the recovered document is exactly the document after some
+// prefix of commit order, and that prefix covers at least every hard-acked
+// commit (acked while no write had been dropped yet). The recovered volume
+// must also accept new transactions. Inputs:
+//
+//   - inserts: one small insert per commit;
+//   - mixed: multi-page inserts (extension pages) and inserts that split
+//     full pages, interleaved with deletes of whole multi-page subtrees;
+//   - recovery-crash: the inserts sequence, with recovery itself crashed
+//     at every write of its fresh checkpoint in turn; every Open after
+//     such a crash must land on the same prefix.
 func TestCrashRecoveryMatrix(t *testing.T) {
-	const commits = 8
-	for cut := 0; cut <= 96; cut++ {
+	t.Run("inserts", func(t *testing.T) {
+		runCrashMatrix(t, crashInput{commits: 8, step: insertStep})
+	})
+	t.Run("mixed", func(t *testing.T) {
+		runCrashMatrix(t, crashInput{commits: 9, step: mixedStep})
+	})
+	t.Run("recovery-crash", func(t *testing.T) {
+		runCrashMatrix(t, crashInput{commits: 8, step: insertStep, crashRecovery: true})
+	})
+}
+
+type crashInput struct {
+	commits int
+	// step commits the i-th transaction of the sequence.
+	step func(m *Manager, dict *xmltree.Dictionary, root storage.NodeID, i int) error
+	// crashRecovery crashes the recovering Open too, after 0, 1, 2, ...
+	// of its writes, until one Open completes without a dropped write.
+	crashRecovery bool
+}
+
+// crashManager uses no batching window and a tiny checkpoint interval: the
+// sweep crosses several checkpoints, so cuts land inside checkpoint writes
+// too.
+func crashManager(t *testing.T, st *storage.Store) *Manager {
+	t.Helper()
+	m, err := NewManager(st, Options{GroupWindow: -1, CheckpointEvery: 3})
+	if err != nil {
+		t.Fatalf("NewManager: %v", err)
+	}
+	return m
+}
+
+func runCrashMatrix(t *testing.T, in crashInput) {
+	// Reference run without faults: the document after every prefix, and
+	// the number of writes the sequence issues (the cut range). Tags are
+	// interned in the same order as in the crashed runs, so the documents
+	// compare equal tag for tag.
+	st, dict, root := fixture(t, 512)
+	dict.Intern("ins")
+	m := crashManager(t, st)
+	states := []*xmltree.Node{st.Export()}
+	writes0 := st.Ledger().Snapshot().PageWrites
+	for i := 0; i < in.commits; i++ {
+		if err := in.step(m, dict, root, i); err != nil {
+			t.Fatalf("reference commit %d: %v", i, err)
+		}
+		states = append(states, st.Export())
+	}
+	writes := int(st.Ledger().Snapshot().PageWrites - writes0)
+	prefixOf := func(doc *xmltree.Node) int {
+		for k, s := range states {
+			if xmltree.Equal(s, doc) {
+				return k
+			}
+		}
+		return -1
+	}
+
+	for cut := 0; cut <= writes; cut++ {
 		st, dict, root := fixture(t, 512)
 		ins := dict.Intern("ins")
-		// No batching window and a tiny checkpoint interval: the sweep
-		// crosses several checkpoints, so cuts land inside checkpoint
-		// writes too.
-		m, err := NewManager(st, Options{GroupWindow: -1, CheckpointEvery: 3})
-		if err != nil {
-			t.Fatalf("cut=%d: NewManager: %v", cut, err)
-		}
+		m := crashManager(t, st)
 		disk := st.Disk()
 		base := disk.DroppedWrites()
 		disk.SetWriteFault(cut)
 		hard, done := 0, 0
-		for i := 0; i < commits; i++ {
-			if err := commitOne(m, root, ins, i); err != nil {
-				// Past the cut the in-memory store reads pages whose
-				// backing writes were dropped; the process has
-				// effectively crashed, so stop issuing commits.
+		for i := 0; i < in.commits; i++ {
+			err := in.step(m, dict, root, i)
+			if err == nil {
+				done = i + 1
+			}
+			if disk.DroppedWrites() > base {
+				// The power went out during this commit: the process
+				// is gone. (Running on would read pages whose backing
+				// writes were dropped — bytes no live process can see.)
 				break
 			}
-			done = i + 1
-			if disk.DroppedWrites() == base {
-				hard = i + 1
+			if err != nil {
+				t.Fatalf("cut=%d: commit %d failed before the crash: %v", cut, i, err)
 			}
+			hard = i + 1
 		}
 		disk.SetWriteFault(-1)
 
-		st2, err := storage.Open(disk)
-		if err != nil {
-			t.Fatalf("cut=%d: recovery failed: %v", cut, err)
-		}
-		got := insTexts(st2.Export(), ins)
-		if len(got) < hard || len(got) > done {
-			t.Fatalf("cut=%d: recovered %d commits, want between %d (hard-acked) and %d (issued)", cut, len(got), hard, done)
-		}
-		for i, s := range got {
-			if want := fmt.Sprintf("v%d", i); s != want {
-				t.Fatalf("cut=%d: recovered state is not a prefix: ins[%d] = %q, want %q (all: %v)", cut, i, s, want, got)
+		k := -1
+		var st2 *storage.Store
+		for c := 0; ; c++ {
+			dropped := disk.DroppedWrites()
+			if in.crashRecovery {
+				disk.SetWriteFault(c)
 			}
+			var err error
+			st2, err = storage.Open(disk)
+			disk.SetWriteFault(-1)
+			if err != nil {
+				t.Fatalf("cut=%d open=%d: recovery failed: %v", cut, c, err)
+			}
+			got := prefixOf(st2.Export())
+			if got < 0 {
+				t.Fatalf("cut=%d open=%d: recovered document is no prefix of commit order", cut, c)
+			}
+			if k >= 0 && got != k {
+				t.Fatalf("cut=%d open=%d: recovered %d commits, but the crashed recovery before it had %d", cut, c, got, k)
+			}
+			k = got
+			if disk.DroppedWrites() == dropped {
+				break // this recovery completed
+			}
+		}
+		if k < hard || k > done {
+			t.Fatalf("cut=%d: recovered %d commits, want between %d (hard-acked) and %d (issued)", cut, k, hard, done)
 		}
 
 		// The recovered volume is writable: commit once more and verify.
@@ -386,10 +477,90 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 		if err := commitOne(m2, rootElem(t, st2), ins, 100); err != nil {
 			t.Fatalf("cut=%d: post-recovery commit: %v", cut, err)
 		}
-		if n := countIns(m2, ins); n != len(got)+1 {
-			t.Fatalf("cut=%d: post-recovery count = %d, want %d", cut, n, len(got)+1)
+		if n, want := countIns(m2, ins), states[k].CountTag(ins)+1; n != want {
+			t.Fatalf("cut=%d: post-recovery count = %d, want %d", cut, n, want)
 		}
 	}
+}
+
+// insertStep commits <ins>v{i}</ins> under the root element.
+func insertStep(m *Manager, dict *xmltree.Dictionary, root storage.NodeID, i int) error {
+	return commitOne(m, root, dict.Intern("ins"), i)
+}
+
+// mixedStep commits, under the root element, a <big> fragment of 14
+// children — more than a 512-byte page holds, so it spills to extension
+// pages — together with four small leaves appended to <x> elements in
+// turn, which fill the pages holding them until inserts must split them.
+// Every third commit instead deletes the first <big> subtree.
+func mixedStep(m *Manager, dict *xmltree.Dictionary, root storage.NodeID, i int) error {
+	big := dict.Intern("big")
+	if i%3 == 2 {
+		victims, err := tagged(m, big)
+		if err != nil || len(victims) == 0 {
+			return fmt.Errorf("no <big> to delete (%v)", err)
+		}
+		return m.Update(func(tx *Tx) error { return tx.DeleteSubtree(victims[0]) })
+	}
+	frag := xmltree.NewElement(big)
+	frag.SetAttr(dict.Intern("n"), fmt.Sprint(i))
+	for j := 0; j < 14; j++ {
+		y := xmltree.NewElement(dict.Intern("y"))
+		y.AppendChild(xmltree.NewText(fmt.Sprintf("%d.%d-%s", i, j, strings.Repeat("p", 20))))
+		frag.AppendChild(y)
+	}
+	xs, err := tagged(m, dict.Intern("x"))
+	if err != nil {
+		return err
+	}
+	small := dict.Intern("s")
+	return m.Update(func(tx *Tx) error {
+		if _, err := tx.InsertSubtree(root, storage.InvalidNodeID, frag); err != nil {
+			return err
+		}
+		for j := 0; j < 4; j++ {
+			leaf := xmltree.NewElement(small)
+			leaf.AppendChild(xmltree.NewText(fmt.Sprintf("%d.%d-%s", i, j, strings.Repeat("q", 16))))
+			if _, err := tx.InsertSubtree(xs[(4*i+j)%len(xs)], storage.InvalidNodeID, leaf); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// tagged lists the elements tagged tag in the current version, following
+// borders as they are met.
+func tagged(m *Manager, tag xmltree.TagID) (ids []storage.NodeID, err error) {
+	snap := m.Snapshot()
+	defer snap.Release()
+	v := snap.View(stats.NewLedger())
+	defer func() {
+		if r := recover(); r != nil {
+			pe, ok := storage.AsPageFault(r)
+			if !ok {
+				panic(r)
+			}
+			err = pe
+		}
+	}()
+	var walk func(c storage.Cursor)
+	walk = func(c storage.Cursor) {
+		it := v.Step(c, xpath.Descendant, xpath.NameTest(tag))
+		for {
+			r, ok := it.Next()
+			if !ok {
+				return
+			}
+			if r.IsBorder() {
+				walk(v.Swizzle(r.Target()))
+				continue
+			}
+			ids = append(ids, r.ID())
+		}
+	}
+	walk(v.Swizzle(v.Root()))
+	return ids, nil
 }
 
 // TestReclaimBoundsGrowth checks that superseded page versions are recycled:
